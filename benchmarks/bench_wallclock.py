@@ -7,7 +7,8 @@ per-entry interpreted body), ``use_kernel="hand"`` (the app's hand-written
 block kernel, where one exists) and ``use_kernel="auto"`` (the kernel
 synthesized from the loop body by ``repro.analysis.synth``) — and reports
 entries/second for each plus speedups over scalar.  Results land in
-``BENCH_wallclock.json`` at the repo root.
+``BENCH_wallclock.json`` at the repo root, with the host fingerprint
+(``nproc``, platform, Python and NumPy versions) they were measured on.
 
 Apps whose bodies synthesis cannot batch (LDA's sparse sampling) report
 ``"synth": null`` — they fall back to the scalar interpreter (W50x).
@@ -18,9 +19,13 @@ Run:  make bench-smoke        (or: PYTHONPATH=src python benchmarks/bench_wallcl
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.apps.embeddings import build_orion_program as build_glove
 from repro.apps.embeddings import cooccurrence_corpus
@@ -64,6 +69,16 @@ def _measure(build, num_entries: int, variants=None) -> dict:
     return out
 
 
+def host_fingerprint() -> dict:
+    """The host facts a wall-clock number depends on."""
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def run(out_path: Path) -> dict:
     mf = netflix_like(num_rows=300, num_cols=240, num_ratings=18000, seed=5)
     slr = sparse_classification(
@@ -73,6 +88,7 @@ def run(out_path: Path) -> dict:
     glove = cooccurrence_corpus(vocab_size=300, num_tokens=40000, seed=5)
 
     results = {
+        "host": host_fingerprint(),
         "epochs_timed": EPOCHS,
         "apps": {
             "sgd_mf": _measure(

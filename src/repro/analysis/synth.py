@@ -13,11 +13,11 @@ Two synthesis tiers are tried in order:
 
 * **vector** — for straight-line affine bodies whose every DistArray
   subscript is a whole-column, whole-row, or point access addressed by loop
-  indices (SGD MF, GloVe, ...).  Entries are split into conflict-free runs
-  (:func:`~repro.runtime.kernels.conflict_free_groups_nd`) and each run
-  executes as one gather → NumPy-expression → scatter, with the scalar
-  body replayed verbatim for single-entry runs.  Reductions keep the scalar
-  form (strided ``vecdot``), ``**`` routes through
+  indices (SGD MF, GloVe, ...).  Entries are split into dependence levels
+  (:func:`~repro.runtime.kernels.conflict_free_levels`) and each level
+  executes as one index-array gather → NumPy-expression → scatter, with
+  the scalar body replayed verbatim for single-entry levels.  Reductions
+  keep the scalar form (strided ``vecdot``), ``**`` routes through
   :func:`~repro.runtime.kernels.scalar_pow`, so results stay bit-identical
   to the interpreter.
 * **block-loop** — for bodies with inner loops, branches, or buffered
@@ -59,8 +59,8 @@ __all__ = ["SynthResult", "synthesize_kernel", "synth_report"]
 #: Names the generated source reserves for itself (injected helpers and the
 #: kernel's own parameters).  A body using any of them cannot be compiled.
 _RESERVED_NAMES = {
-    "_snp", "_vecdot", "_scalar_pow", "_cfg_nd", "_FULL", "block", "kctx",
-    "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups", "_n", "_e",
+    "_snp", "_vecdot", "_scalar_pow", "_levels_of", "_FULL", "block", "kctx",
+    "_synth_kernel", "_lo", "_idx", "_vals", "_prep", "_groups", "_n", "_e",
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
@@ -227,7 +227,7 @@ def _subscript_elements(node: ast.Subscript) -> Tuple[ast.expr, ...]:
 
 
 # --------------------------------------------------------------------------- #
-# tier 1: vectorized gather/compute/scatter over conflict-free groups
+# tier 1: vectorized gather/compute/scatter over dependence levels
 # --------------------------------------------------------------------------- #
 
 # Orientation of a vectorized value over a group of n entries:
@@ -537,7 +537,7 @@ class _Vectorizer:
         self.written[name] = pattern
         # The scalar body sees writes through earlier captured *views*;
         # rebind any view-local of this array to the freshly stored values
-        # (within a conflict-free group the scatter is exactly the update).
+        # (within a dependence level the scatter is exactly the update).
         for local in self.locals.values():
             if local.view_of == (name, pattern):
                 local.code = temp
@@ -569,6 +569,10 @@ class _Vectorizer:
             self._stmt(stmt)
         if not self.written:
             raise _Fallback("W501", "no vectorizable DistArray writes")
+        # Every array has one index pattern (``_classify`` refuses a
+        # second), so entries that differ on every loop dimension of the
+        # written patterns touch disjoint elements of every written array:
+        # a level of such entries may run as one batch.
         conflict_dims = sorted({
             axis[1] for pattern in self.written.values()
             for axis in pattern if axis[0] is SubscriptKind.INDEX
@@ -594,8 +598,8 @@ class _Vectorizer:
                 f"(_e[0][{d}] for _e in block), _snp.intp, _n)")
         out("        _vals = _snp.fromiter((_e[1] for _e in block), "
             "_snp.float64, _n)")
-        group_args = ", ".join(f"_k{d}.tolist()" for d in conflict_dims)
-        out(f"        _groups = _cfg_nd([{group_args}])")
+        group_args = ", ".join(f"_k{d}" for d in conflict_dims)
+        out(f"        _groups = _levels_of([{group_args}])")
         for key, pt_name in need_pt.items():
             zip_args = ", ".join(
                 f"(_k{d} + {c}).tolist()" if c else f"_k{d}.tolist()"
@@ -608,8 +612,9 @@ class _Vectorizer:
         out(f"    ({', '.join(prep_names)}) = _prep")
         for name in self.patterns:
             out(f"    _nd_{name} = {name}.values")
-        out("    for _lo, _hi in _groups:")
-        out("        if _hi - _lo == 1:")
+        out("    for _idx in _groups:")
+        out("        if len(_idx) == 1:")
+        out("            _lo = _idx[0]")
         for line in self._replay_lines():
             out("            " + line)
         out("            continue")
@@ -618,8 +623,8 @@ class _Vectorizer:
             for axis in pattern if axis[0] is SubscriptKind.INDEX
         })
         for d in used_dims:
-            out(f"        _g{d} = _k{d}[_lo:_hi]")
-        out("        _vv = _vals[_lo:_hi]")
+            out(f"        _g{d} = _k{d}[_idx]")
+        out("        _vv = _vals[_idx]")
         for line in self.vec_lines:
             out("        " + line)
         lines.extend(acct_lines)
@@ -1149,7 +1154,7 @@ def _compile_kernel(source: str, env: Dict[str, Any],
         _snp=np,
         _vecdot=_vecdot,
         _scalar_pow=_kernels.scalar_pow,
-        _cfg_nd=_kernels.conflict_free_groups_nd,
+        _levels_of=_kernels.conflict_free_levels,
         _FULL=slice(None),
     )
     code = compile(source, f"<synth:{info.source_file or 'loop body'}>", "exec")

@@ -12,6 +12,7 @@ rotated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.apps.base import (
 )
 from repro.data.synthetic import MFDataset
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.kernels import conflict_free_groups
+from repro.runtime.kernels import conflict_free_levels
 from repro.runtime.simtime import CostModel
 
 __all__ = ["MFHyper", "SGDMFApp", "build_orion_program", "mf_cost_model", "nzsl"]
@@ -70,9 +71,11 @@ def nzsl(
 
 
 def _index_arrays(entries: List[Entry]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.array([key[0] for key, _v in entries], dtype=np.int64)
-    cols = np.array([key[1] for key, _v in entries], dtype=np.int64)
-    values = np.array([v for _k, v in entries], dtype=np.float64)
+    n = len(entries)
+    keys = list(map(itemgetter(0), entries))
+    rows = np.fromiter(map(itemgetter(0), keys), np.int64, n)
+    cols = np.fromiter(map(itemgetter(1), keys), np.int64, n)
+    values = np.fromiter(map(itemgetter(1), entries), np.float64, n)
     return rows, cols, values
 
 
@@ -89,12 +92,23 @@ def mf_cost_model(hyper: MFHyper, base_entry_cost: float = 1e-6) -> CostModel:
 
 
 def _block_prep(block, kctx):
-    """Index arrays + conflict-free groups for one block, cached per block."""
+    """Index arrays + dependence levels for one block, cached per block.
+
+    Each level is pre-gathered as ``(single, rows, cols, values)``: one
+    entry's scalars when ``single`` (the kernel replays the body exactly),
+    the level's index and rating arrays otherwise.
+    """
     prep = kctx.cache.get("prep")
     if prep is None:
         rows, cols, values = _index_arrays(block)
-        groups = conflict_free_groups(rows.tolist(), cols.tolist())
-        kctx.cache["prep"] = prep = (rows, cols, values, groups)
+        levels = []
+        for idx in conflict_free_levels([rows, cols]):
+            if len(idx) == 1:
+                k = idx[0]
+                levels.append((True, rows[k], cols[k], values[k]))
+            else:
+                levels.append((False, rows[idx], cols[idx], values[idx]))
+        kctx.cache["prep"] = prep = (rows, cols, levels)
     return prep
 
 
@@ -122,7 +136,7 @@ def build_orion_program(
 
     ``use_kernel`` registers a batched block kernel that produces
     bit-identical factors and accounting to the per-entry body (vectorized
-    elementwise updates over conflict-free entry groups; dot products stay
+    elementwise updates over conflict-free dependence levels; dot products stay
     in the body's exact strided-view form).  Pass ``False`` to force the
     scalar path everywhere.
     """
@@ -167,18 +181,18 @@ def build_orion_program(
             H[:, key[1]] = h_col - ada_step * h_grad / np.sqrt(hn2)
 
         def kernel(block, kctx):
-            rows, cols, values, groups = _block_prep(block, kctx)
+            rows, cols, levels = _block_prep(block, kctx)
             Wd, Hd = W.values, H.values
             Wn2d, Hn2d = Wn2.values, Hn2.values
             Wzd, Hzd = Wz.values, Hz.values
-            for lo, hi in groups:
-                if hi - lo == 1:
-                    # Single-entry group: replay the body exactly (the
+            for single, r, c, v in levels:
+                if single:
+                    # Single-entry level: replay the body exactly (the
                     # batched dot below needs ≥ 2 columns to keep the
                     # strided reduction path).
-                    i, j = rows[lo], cols[lo]
+                    i, j = r, c
                     w_col, h_col = Wd[:, i], Hd[:, j]
-                    diff = values[lo] - w_col @ h_col
+                    diff = v - w_col @ h_col
                     w_grad = -2.0 * diff * h_col
                     h_grad = -2.0 * diff * w_col
                     wn2 = Wn2d[:, i] + w_grad * w_grad
@@ -190,15 +204,14 @@ def build_orion_program(
                     Wd[:, i] = w_col - ada_step * w_grad / np.sqrt(wn2)
                     Hd[:, j] = h_col - ada_step * h_grad / np.sqrt(hn2)
                     continue
-                r, c = rows[lo:hi], cols[lo:hi]
                 W_g = Wd.take(r, axis=1)
                 H_g = Hd.take(c, axis=1)
-                # One batched dot per group.  The transposed rows of a
+                # One batched dot per level.  The transposed rows of a
                 # C-ordered gather are strided vectors, which keeps vecdot
                 # on the same sequential reduction the body's strided
                 # ``w_col @ h_col`` uses — bit-identical predictions.
                 preds = _vecdot(W_g.T, H_g.T)
-                coeff = -2.0 * (values[lo:hi] - preds)
+                coeff = -2.0 * (v - preds)
                 w_grads = coeff * H_g
                 h_grads = coeff * W_g
                 wn2 = Wn2d.take(r, axis=1) + w_grads * w_grads
@@ -228,31 +241,29 @@ def build_orion_program(
         scale = step_size * 2.0
 
         def kernel(block, kctx):
-            rows, cols, values, groups = _block_prep(block, kctx)
+            rows, cols, levels = _block_prep(block, kctx)
             Wd, Hd = W.values, H.values
-            for lo, hi in groups:
-                if hi - lo == 1:
-                    # Single-entry group: replay the body exactly (the
+            for single, r, c, v in levels:
+                if single:
+                    # Single-entry level: replay the body exactly (the
                     # batched dot below needs ≥ 2 columns to keep the
                     # strided reduction path).
-                    i, j = rows[lo], cols[lo]
-                    w_col, h_col = Wd[:, i], Hd[:, j]
-                    coeff = scale * (values[lo] - w_col @ h_col)
+                    w_col, h_col = Wd[:, r], Hd[:, c]
+                    coeff = scale * (v - w_col @ h_col)
                     w_new = w_col + coeff * h_col
-                    Wd[:, i] = w_new
+                    Wd[:, r] = w_new
                     # The body writes W first, so its H update reads the
                     # already-updated W column.
-                    Hd[:, j] = h_col + coeff * w_new
+                    Hd[:, c] = h_col + coeff * w_new
                     continue
-                r, c = rows[lo:hi], cols[lo:hi]
                 W_g = Wd.take(r, axis=1)
                 H_g = Hd.take(c, axis=1)
-                # One batched dot per group.  The transposed rows of a
+                # One batched dot per level.  The transposed rows of a
                 # C-ordered gather are strided vectors, which keeps vecdot
                 # on the same sequential reduction the body's strided
                 # ``w_col @ h_col`` uses — bit-identical predictions.
                 preds = _vecdot(W_g.T, H_g.T)
-                coeff = scale * (values[lo:hi] - preds)
+                coeff = scale * (v - preds)
                 W_new = W_g + coeff * H_g
                 # The body writes W first, so its H update reads the
                 # already-updated W column.

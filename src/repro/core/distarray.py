@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +91,22 @@ def _infer_shape(entries: Iterable[Tuple[Tuple[int, ...], Any]]) -> Tuple[int, .
     if maxima is None:
         raise MaterializationError("cannot infer the shape of an empty array")
     return tuple(m + 1 for m in maxima)
+
+
+def _canonical_keys(raw: Sequence[Any]) -> bool:
+    """Whether ``raw`` is non-empty ``(key, value)`` pairs whose keys are
+    tuples of plain ints, all of one arity (checked at C speed)."""
+    try:
+        if not raw or set(map(len, raw)) != {2}:
+            return False
+    except TypeError:  # an entry without a length
+        return False
+    keys = list(map(itemgetter(0), raw))
+    return (
+        set(map(type, keys)) == {tuple}
+        and len(set(map(len, keys))) == 1
+        and set(map(type, itertools.chain.from_iterable(keys))) == {int}
+    )
 
 
 class DistArray:
@@ -254,6 +271,18 @@ class DistArray:
             raise MaterializationError(
                 f"unsupported sparse source recipe {source.kind!r}"
             )
+        if not maps and _canonical_keys(raw):
+            # Keys are already tuples of ints: the loop below would copy
+            # each one unchanged, so build the dict directly (same
+            # first-insertion order, last value wins).
+            data = dict(raw)
+            self._entries = data
+            if self._shape is None:
+                self._shape = tuple(
+                    max(map(itemgetter(dim), data)) + 1
+                    for dim in range(len(raw[0][0]))
+                )
+            return
         data: Dict[Tuple[int, ...], Any] = {}
         for key, value in raw:
             key = tuple(int(c) for c in key)

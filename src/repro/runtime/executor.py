@@ -415,8 +415,8 @@ class OrionExecutor:
                 self.faults, cluster.network, metrics=self.metrics
             )
         self._equivalence_checked = False
-        #: Per-block caches handed to kernels (index arrays, conflict
-        #: groups, memoized accounting) — persist across epochs.
+        #: Per-block caches handed to kernels (index arrays, dependence
+        #: levels, memoized accounting) — persist across epochs.
         self._kernel_caches: Dict[Tuple[int, int], Dict[Any, Any]] = {}
         #: One thread pool per executor, created lazily and reused across
         #: steps and epochs (a fresh pool per step costs thread spawns on
@@ -523,13 +523,12 @@ class OrionExecutor:
                 workers,
                 num_time,
                 balance=self.balance,
+                # Canonical time-sorted block order when unordered: makes
+                # a worker's per-epoch entry sequence identical at every
+                # pipeline depth, which is what lets the tuner re-tile
+                # mid-run without perturbing numerics (docs/tuning.md).
+                time_sorted=not plan.ordered,
             )
-            if not plan.ordered:
-                # Canonical time-sorted block order: makes a worker's
-                # per-epoch entry sequence identical at every pipeline
-                # depth, which is what lets the tuner re-tile mid-run
-                # without perturbing numerics (docs/tuning.md).
-                parts.sort_blocks_by_dim(self.partitions, time_dim)
             self.num_workers, self.num_time = workers, num_time
         elif plan.strategy is Strategy.TWO_D_UNIMODULAR:
             workers = requested
@@ -752,7 +751,7 @@ class OrionExecutor:
         self.steps = sched.unordered_2d_schedule(self.num_workers, num_time)
         self.num_time = num_time
         #: Block keys changed shape — cached kernel index arrays and
-        #: conflict groups are stale.
+        #: dependence levels are stale.
         self._kernel_caches.clear()
         rebin = self.cluster.cost.compute_time(len(self._entries))
         reshuffle = self.cluster.network.transfer_time(self._rotated_bytes)

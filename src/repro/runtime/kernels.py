@@ -15,8 +15,8 @@ The contract a kernel must satisfy:
   elementwise arithmetic freely — NumPy broadcasting applies the same
   per-element operation chain — but keep reductions such as dot products
   in the scalar body's exact form, and split entries that touch the same
-  parameter into sequential conflict-free groups, see
-  :func:`conflict_free_groups`.)
+  parameter into conflict-free dependence levels run in order, see
+  :func:`conflict_free_levels`.)
 * **Identical accounting**: declare every DistArray access the body would
   have made through the :class:`KernelContext` ``account_*`` methods, so
   traffic counters and the serializability validator see the same numbers
@@ -41,8 +41,8 @@ from repro.runtime.pserver import index_nbytes
 __all__ = [
     "KernelContext",
     "PlainBroker",
-    "conflict_free_groups",
     "conflict_free_groups_nd",
+    "conflict_free_levels",
     "normalize_index",
     "scalar_pow",
 ]
@@ -92,46 +92,17 @@ def normalize_index(index: Any) -> Tuple[Any, ...]:
     return tuple(out)
 
 
-def conflict_free_groups(
-    rows: Sequence[int], cols: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Split entries into maximal runs with no repeated row or column.
-
-    Within such a run, every entry reads and writes parameter columns no
-    other run member touches, so a vectorized gather-update-scatter over
-    the run is exactly the sequential per-entry execution.  Runs are
-    returned as half-open ``(lo, hi)`` index ranges into the input order;
-    executing runs in order preserves the scalar path's update sequence
-    for conflicting entries.
-    """
-    groups: List[Tuple[int, int]] = []
-    lo = 0
-    seen_rows: set = set()
-    seen_cols: set = set()
-    for position in range(len(rows)):
-        row, col = rows[position], cols[position]
-        if row in seen_rows or col in seen_cols:
-            groups.append((lo, position))
-            lo = position
-            seen_rows = {row}
-            seen_cols = {col}
-        else:
-            seen_rows.add(row)
-            seen_cols.add(col)
-    if lo < len(rows):
-        groups.append((lo, len(rows)))
-    return groups
-
-
 def conflict_free_groups_nd(
     seqs: Sequence[Sequence[int]],
 ) -> List[Tuple[int, int]]:
-    """N-dimensional generalization of :func:`conflict_free_groups`.
+    """Split entries into maximal contiguous runs with no repeated index.
 
     ``seqs`` holds one per-entry index sequence per conflict dimension
     (all the same length).  A run breaks as soon as any dimension repeats
     a value already seen in the current run; within a run, no two entries
-    touch the same parameter index on any conflict dimension.
+    touch the same parameter index on any conflict dimension.  Runs are
+    half-open ``(lo, hi)`` ranges into the input order.  Kernels batch by
+    :func:`conflict_free_levels` instead, which never makes more groups.
     """
     if not seqs:
         return []
@@ -151,6 +122,52 @@ def conflict_free_groups_nd(
     if lo < n:
         groups.append((lo, n))
     return groups
+
+
+def conflict_free_levels(seqs: Sequence[Sequence[int]]) -> List[np.ndarray]:
+    """Group a block's entries into dependence levels.
+
+    ``seqs`` holds one per-entry index sequence per conflict dimension
+    (all the same length).  An entry's level is one more than the highest
+    level of any *earlier* entry sharing a value with it on some conflict
+    dimension (0 when there is none).  Each level is returned as an
+    ascending index array into the input order, lowest level first.
+
+    No two entries of one level share an index on any conflict dimension,
+    so a vectorized gather-update-scatter over a level is exactly the
+    sequential execution of its entries.  Any two entries that do share an
+    index sit on strictly increasing levels in input order, so running the
+    levels in order is a topological order of the block's sequential
+    dependence graph: entries that conflict keep their relative order and
+    the rest commute, which makes the result bit-identical to the scalar
+    loop.  There are never more levels than contiguous runs of
+    :func:`conflict_free_groups_nd`: an entry's level is at most the
+    index of its run.
+    """
+    if not seqs or len(seqs[0]) == 0:
+        return []
+    columns = [
+        seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
+        for seq in seqs
+    ]
+    # The levels of the entries sharing one value strictly increase with
+    # position, so the latest of them holds their maximum: one dict per
+    # conflict dimension, value -> level of its latest entry, suffices.
+    latest: List[Dict[Any, int]] = [{} for _ in columns]
+    levels: List[int] = []
+    for values in zip(*columns):
+        level = 0
+        for seen, value in zip(latest, values):
+            below = seen.get(value, -1)
+            if below >= level:
+                level = below + 1
+        for seen, value in zip(latest, values):
+            seen[value] = level
+        levels.append(level)
+    level_of = np.array(levels, dtype=np.intp)
+    order = np.argsort(level_of, kind="stable")
+    stops = np.cumsum(np.bincount(level_of)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
 
 
 def scalar_pow(base: Any, exponent: Any) -> Any:
@@ -187,7 +204,7 @@ class KernelContext:
     Attributes:
         worker: the simulated worker executing the block.
         cache: a per-block dict that persists across epochs — kernels use
-            it to memoize index arrays, conflict-free groups, and anything
+            it to memoize index arrays, dependence levels, and anything
             else derivable from the (immutable) block entry list.
     """
 
@@ -221,7 +238,8 @@ class KernelContext:
     # Each call declares the accesses the scalar body would have made; the
     # derived quantities (byte totals, normalized records) are memoized in
     # the block cache under the call's sequence number, so epochs after the
-    # first pay one dict lookup per declaration.
+    # first pay one dict lookup per declaration.  A broker that neither
+    # counts server reads nor validates never builds them.
 
     def account_point_reads(self, array: DistArray, keys: Sequence[Any]) -> None:
         """Declare N point reads (``array[key]`` per key)."""
@@ -271,12 +289,17 @@ class KernelContext:
         broker = self.broker
         tag = ("acct", self._seq, array.name, write)
         self._seq += 1
+        server = not write and id(array) in broker.server_ids
+        if not server and not broker.validate:
+            # Nothing is counted or recorded (always so on a worker's
+            # PlainBroker): skip building the per-entry indices.
+            return
         cached = self.cache.get(tag)
         if cached is None:
             indices = build_indices()
             count = len(indices)
             nbytes = 0
-            if not write:
+            if server:
                 nbytes = sum(index_nbytes(array, index) for index in indices)
             records: Optional[List[Tuple[str, Tuple[Any, ...], bool]]] = None
             if broker.validate:
@@ -287,7 +310,7 @@ class KernelContext:
             self.cache[tag] = cached = (count, nbytes, records)
         count, nbytes, records = cached
         stats = broker.stats
-        if not write and id(array) in broker.server_ids:
+        if server:
             stats.server_reads += count
             stats.server_read_bytes += nbytes
         if records is not None:

@@ -6,11 +6,18 @@ dataset are imbalanced, so Orion approximates the data distribution with a
 per-dimension histogram and cuts contiguous ranges with near-equal entry
 counts.  For unimodular plans, entries are bucketed by their *transformed*
 coordinates.
+
+The axis-aligned partitioners bin a whole array at a time: coordinates are
+extracted once per dimension, histogrammed with ``bincount``, binned with
+one ``searchsorted`` per dimension and grouped into blocks with one stable
+sort.  The blocks, their entry order and their insertion order are those a
+per-entry pass would build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,11 +146,66 @@ class IterationPartitions:
         return sum(len(entries) for entries in self.blocks.values())
 
 
-def _histogram(entries: Sequence[Entry], dim: int, extent: int) -> np.ndarray:
-    counts = np.zeros(extent, dtype=np.int64)
-    for key, _value in entries:
-        counts[key[dim]] += 1
-    return counts
+def _coordinates(entries: Sequence[Entry], dims: Sequence[int]) -> List[np.ndarray]:
+    """Each requested dimension's coordinates, one int array per dim."""
+    count = len(entries)
+    keys = list(map(itemgetter(0), entries))
+    return [
+        np.fromiter(map(itemgetter(dim), keys), np.int64, count) for dim in dims
+    ]
+
+
+def _histogram(coords: np.ndarray, extent: int) -> np.ndarray:
+    """Entries per coordinate of ``[0, extent)``."""
+    if coords.size and (coords.min() < 0 or coords.max() >= extent):
+        raise PartitionError(f"coordinate outside [0, {extent})")
+    return np.bincount(coords, minlength=extent)
+
+
+def _cut(coords: np.ndarray, extent: int, num_parts: int, balance: bool) -> Bounds:
+    if balance:
+        return balanced_bounds(_histogram(coords, extent), num_parts)
+    return equal_bounds(extent, num_parts)
+
+
+def _bin(coords: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """Partition index of every coordinate (``bucket_of``, all at once)."""
+    uppers = np.array([hi for _lo, hi in bounds])
+    return np.searchsorted(uppers, coords, side="right")
+
+
+def _fill_blocks(
+    partitions: IterationPartitions,
+    entries: Sequence[Entry],
+    space_idx: np.ndarray,
+    time_idx: np.ndarray,
+    time_coords: Optional[np.ndarray] = None,
+) -> IterationPartitions:
+    """Group entries into ``partitions.blocks`` by their block indices.
+
+    Within a block, entries keep their input order, or with
+    ``time_coords`` are stably sorted by them (the canonical order of
+    :func:`sort_blocks_by_dim`).  Blocks are inserted in order of their
+    first entry, as a per-entry pass would insert them.
+    """
+    if not len(entries):
+        return partitions
+    stride = int(time_idx.max()) + 1
+    block_id = space_idx * stride + time_idx
+    if time_coords is None:
+        order = np.argsort(block_id, kind="stable")
+    else:
+        order = np.lexsort((time_coords, block_id))
+    sorted_ids = block_id[order]
+    starts = np.flatnonzero(np.diff(sorted_ids)) + 1
+    starts = np.concatenate(([0], starts))
+    stops = np.append(starts[1:], len(order))
+    first_entry = np.minimum.reduceat(order, starts)
+    ordered = list(map(entries.__getitem__, order.tolist()))
+    for run in np.argsort(first_entry).tolist():
+        space, time = divmod(int(sorted_ids[starts[run]]), stride)
+        partitions.blocks[(space, time)] = ordered[starts[run]:stops[run]]
+    return partitions
 
 
 def partition_1d(
@@ -154,18 +216,14 @@ def partition_1d(
     balance: bool = True,
 ) -> IterationPartitions:
     """Partition entries along one iteration-space dimension."""
-    if balance:
-        bounds = balanced_bounds(_histogram(entries, dim, extent), num_parts)
-    else:
-        bounds = equal_bounds(extent, num_parts)
-    uppers = np.array([hi for _lo, hi in bounds])
+    (coords,) = _coordinates(entries, (dim,))
+    bounds = _cut(coords, extent, num_parts, balance)
     partitions = IterationPartitions(
         num_space=num_parts, num_time=1, space_bounds=bounds
     )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(uppers, key[dim], side="right"))
-        partitions.blocks.setdefault((space_idx, 0), []).append((key, value))
-    return partitions
+    return _fill_blocks(
+        partitions, entries, _bin(coords, bounds), np.zeros_like(coords)
+    )
 
 
 def partition_2d(
@@ -177,31 +235,29 @@ def partition_2d(
     num_space: int,
     num_time: int,
     balance: bool = True,
+    time_sorted: bool = False,
 ) -> IterationPartitions:
-    """Partition entries into a (space × time) grid of blocks."""
-    if balance:
-        space_bounds = balanced_bounds(
-            _histogram(entries, space_dim, space_extent), num_space
-        )
-        time_bounds = balanced_bounds(
-            _histogram(entries, time_dim, time_extent), num_time
-        )
-    else:
-        space_bounds = equal_bounds(space_extent, num_space)
-        time_bounds = equal_bounds(time_extent, num_time)
-    space_uppers = np.array([hi for _lo, hi in space_bounds])
-    time_uppers = np.array([hi for _lo, hi in time_bounds])
+    """Partition entries into a (space × time) grid of blocks.
+
+    With ``time_sorted`` every block holds the canonical order of
+    :func:`sort_blocks_by_dim` along ``time_dim``, in the same pass.
+    """
+    space_coords, time_coords = _coordinates(entries, (space_dim, time_dim))
+    space_bounds = _cut(space_coords, space_extent, num_space, balance)
+    time_bounds = _cut(time_coords, time_extent, num_time, balance)
     partitions = IterationPartitions(
         num_space=num_space,
         num_time=num_time,
         space_bounds=space_bounds,
         time_bounds=time_bounds,
     )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(space_uppers, key[space_dim], side="right"))
-        time_idx = int(np.searchsorted(time_uppers, key[time_dim], side="right"))
-        partitions.blocks.setdefault((space_idx, time_idx), []).append((key, value))
-    return partitions
+    return _fill_blocks(
+        partitions,
+        entries,
+        _bin(space_coords, space_bounds),
+        _bin(time_coords, time_bounds),
+        time_coords if time_sorted else None,
+    )
 
 
 def sort_blocks_by_dim(partitions: IterationPartitions, dim: int) -> None:
@@ -248,26 +304,21 @@ def retile_time_2d(
             "retile_time_2d needs the existing space bounds "
             "(equal/balanced cuts from the original partitioning)"
         )
-    if balance:
-        time_bounds = balanced_bounds(
-            _histogram(entries, time_dim, time_extent), num_time
-        )
-    else:
-        time_bounds = equal_bounds(time_extent, num_time)
-    space_uppers = np.array([hi for _lo, hi in space_bounds])
-    time_uppers = np.array([hi for _lo, hi in time_bounds])
+    space_coords, time_coords = _coordinates(entries, (space_dim, time_dim))
+    time_bounds = _cut(time_coords, time_extent, num_time, balance)
     partitions = IterationPartitions(
         num_space=len(space_bounds),
         num_time=num_time,
         space_bounds=list(space_bounds),
         time_bounds=time_bounds,
     )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(space_uppers, key[space_dim], side="right"))
-        time_idx = int(np.searchsorted(time_uppers, key[time_dim], side="right"))
-        partitions.blocks.setdefault((space_idx, time_idx), []).append((key, value))
-    sort_blocks_by_dim(partitions, time_dim)
-    return partitions
+    return _fill_blocks(
+        partitions,
+        entries,
+        _bin(space_coords, space_bounds),
+        _bin(time_coords, time_bounds),
+        time_coords,
+    )
 
 
 def partition_transformed(

@@ -6,8 +6,9 @@ claims about every loop it accepts:
 1. the reported dependence vectors are *complete* — every actual
    cross-iteration write/read (and, for ordered loops, write/write)
    conflict is covered by some reported vector;
-2. batched-kernel ``conflict_free_groups`` really contain no two
-   iterations touching the same row or column;
+2. batched-kernel groups (``conflict_free_levels``) really contain no
+   two iterations touching the same row or column, and run every pair
+   that does share one in entry order;
 3. buffered writes — exempt from dependence analysis — never alias an
    element the loop also writes directly;
 4. the access footprint stays inside what the prefetch oracle predicts
@@ -462,46 +463,101 @@ def _check_prefetch_footprint(
 def verify_conflict_groups(
     rows: Sequence[int],
     cols: Sequence[int],
-    groups: Iterable[Tuple[int, int]],
+    groups: Iterable[Any],
 ) -> List[Diagnostic]:
-    """S602: check that each claimed conflict-free group really contains
-    no two entries sharing a row or a column.
+    """S602: check that claimed conflict-free groups may run as batches.
 
     ``rows``/``cols`` are the per-entry coordinates a batched kernel
-    updates; ``groups`` are half-open ``(lo, hi)`` index ranges claimed
-    conflict-free (the output of ``conflict_free_groups``).  Sanitize
-    mode forces scalar execution, so this check runs on the *claimed*
-    grouping rather than live kernel traffic — tests also call it
-    directly with planted bad groupings."""
+    updates; ``groups`` run in the given order, each either a half-open
+    ``(lo, hi)`` range (the runs of ``conflict_free_groups_nd``) or an
+    array of entry indices (the levels of ``conflict_free_levels``).  Two
+    witnesses:
+
+    * a group holding two entries that share a row or a column (their
+      batched updates would have an undefined relative order), one
+      diagnostic per such group;
+    * two entries sharing a row or a column whose later one (in entry
+      order) runs in an *earlier* group (the batches would invert a
+      dependence of the sequential loop), one diagnostic for the first
+      such pair.
+
+    Sanitize mode forces scalar execution, so this check runs on the
+    *claimed* grouping rather than live kernel traffic — tests also call
+    it directly with planted bad groupings."""
     diagnostics: List[Diagnostic] = []
-    for lo, hi in groups:
+    level_of: Dict[int, int] = {}
+    for level, group in enumerate(groups):
+        if isinstance(group, tuple):
+            lo, hi = group
+            members: Sequence[int] = range(lo, hi)
+            label: Tuple[int, ...] = (lo, hi)
+        else:
+            members = [int(pos) for pos in group]
+            label = tuple(members)
         seen_rows: Dict[int, int] = {}
         seen_cols: Dict[int, int] = {}
-        for pos in range(lo, hi):
+        clash = None
+        for pos in members:
+            level_of[pos] = level
             row, col = rows[pos], cols[pos]
-            clash = None
-            if row in seen_rows:
-                clash = ("row", row, seen_rows[row])
-            elif col in seen_cols:
-                clash = ("col", col, seen_cols[col])
-            if clash is not None:
-                axis, coord, other = clash
-                diagnostics.append(
-                    Diagnostic(
-                        code="S602",
-                        message=(
-                            f"group ({lo}, {hi}) claimed conflict-free but "
-                            f"entries {other} and {pos} share {axis} {coord}"
-                        ),
-                        details=(
-                            ("group", (lo, hi)),
-                            ("entries", (other, pos)),
-                        ),
-                        hint="the batched kernel would apply these updates "
-                        "with undefined relative order",
-                    )
-                )
-                break  # one witness per group
+            if clash is None:
+                if row in seen_rows:
+                    clash = ("row", row, seen_rows[row], pos)
+                elif col in seen_cols:
+                    clash = ("col", col, seen_cols[col], pos)
             seen_rows[row] = pos
             seen_cols[col] = pos
+        if clash is not None:
+            axis, coord, other, pos = clash
+            diagnostics.append(
+                Diagnostic(
+                    code="S602",
+                    message=(
+                        f"group {label} claimed conflict-free but "
+                        f"entries {other} and {pos} share {axis} {coord}"
+                    ),
+                    details=(("group", label), ("entries", (other, pos))),
+                    hint="the batched kernel would apply these updates "
+                    "with undefined relative order",
+                )
+            )
+    inversion = _first_inversion(rows, cols, level_of)
+    if inversion is not None:
+        axis, coord, earlier, later = inversion
+        diagnostics.append(
+            Diagnostic(
+                code="S602",
+                message=(
+                    f"entries {earlier} and {later} share {axis} {coord} "
+                    f"but entry {later} runs in group {level_of[later]}, "
+                    f"before entry {earlier}'s group {level_of[earlier]}"
+                ),
+                details=(
+                    ("groups", (level_of[earlier], level_of[later])),
+                    ("entries", (earlier, later)),
+                ),
+                hint="the batches would apply these dependent updates "
+                "in the reverse of the sequential loop's order",
+            )
+        )
     return diagnostics
+
+
+def _first_inversion(
+    rows: Sequence[int], cols: Sequence[int], level_of: Dict[int, int]
+) -> Optional[Tuple[str, int, int, int]]:
+    """The first pair of entries sharing a coordinate, in entry order,
+    whose later entry runs in a strictly earlier group.
+
+    Checking each entry against the previous one with the same row (and
+    column) covers every pair: if no such consecutive pair is inverted,
+    group numbers never decrease along a row or column.
+    """
+    latest: Dict[str, Dict[int, int]] = {"row": {}, "col": {}}
+    for pos in sorted(level_of):
+        for axis, coord in (("row", rows[pos]), ("col", cols[pos])):
+            earlier = latest[axis].get(coord)
+            if earlier is not None and level_of[earlier] > level_of[pos]:
+                return axis, coord, earlier, pos
+            latest[axis][coord] = pos
+    return None

@@ -22,7 +22,7 @@ from repro.core.distarray import DistArray, SubscriptError
 from repro.data.synthetic import lda_corpus, netflix_like, sparse_classification
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import ExecutionError
-from repro.runtime.kernels import conflict_free_groups
+from repro.runtime.kernels import conflict_free_groups_nd, conflict_free_levels
 
 
 def _epoch_signature(results):
@@ -222,7 +222,7 @@ class TestConflictFreeGroups:
     def test_groups_partition_and_are_conflict_free(self):
         rows = [0, 1, 0, 2, 3, 1]
         cols = [0, 1, 2, 3, 4, 5]
-        groups = conflict_free_groups(rows, cols)
+        groups = conflict_free_groups_nd([rows, cols])
         assert groups[0][0] == 0 and groups[-1][1] == len(rows)
         for (_, hi), (lo2, _) in zip(groups, groups[1:]):
             assert hi == lo2
@@ -230,5 +230,14 @@ class TestConflictFreeGroups:
             assert len(set(rows[lo:hi])) == hi - lo
             assert len(set(cols[lo:hi])) == hi - lo
 
+    def test_levels_partition_and_are_conflict_free(self):
+        rows = [0, 1, 0, 2, 3, 1]
+        cols = [0, 1, 2, 3, 4, 5]
+        levels = conflict_free_levels([rows, cols])
+        # Entries 2 and 5 repeat rows 0 and 1; everything else batches.
+        assert [idx.tolist() for idx in levels] == [[0, 1, 3, 4], [2, 5]]
+        assert len(levels) <= len(conflict_free_groups_nd([rows, cols]))
+
     def test_empty(self):
-        assert conflict_free_groups([], []) == []
+        assert conflict_free_groups_nd([[], []]) == []
+        assert conflict_free_levels([[], []]) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.unimodular import skew
 from repro.errors import PartitionError
@@ -168,3 +170,136 @@ class TestTransformedPartition:
     def test_empty_entries_raise(self):
         with pytest.raises(PartitionError):
             parts.partition_transformed([], skew(2, 0, 1, 1), 2, 2)
+
+
+# --------------------------------------------------------------------------- #
+# whole-array binning equals the per-entry pass
+# --------------------------------------------------------------------------- #
+
+
+def _reference_histogram(entries, dim, extent):
+    counts = np.zeros(extent, dtype=np.int64)
+    for key, _value in entries:
+        counts[key[dim]] += 1
+    return counts
+
+
+def _reference_cut(entries, dim, extent, num_parts, balance):
+    if balance:
+        return parts.balanced_bounds(
+            _reference_histogram(entries, dim, extent), num_parts
+        )
+    return parts.equal_bounds(extent, num_parts)
+
+
+def _reference_fill(entries, space_dim, time_dim, space_bounds, time_bounds,
+                    num_time, sort_time):
+    """Per-entry binning: one ``bucket_of`` per entry and dimension, then
+    the stable time sort of ``sort_blocks_by_dim``."""
+    partitions = parts.IterationPartitions(
+        num_space=len(space_bounds), num_time=num_time,
+        space_bounds=space_bounds, time_bounds=time_bounds,
+    )
+    for key, value in entries:
+        space_idx = parts.bucket_of(space_bounds, key[space_dim])
+        time_idx = 0
+        if time_bounds is not None:
+            time_idx = parts.bucket_of(time_bounds, key[time_dim])
+        partitions.blocks.setdefault((space_idx, time_idx), []).append(
+            (key, value)
+        )
+    if sort_time:
+        parts.sort_blocks_by_dim(partitions, time_dim)
+    return partitions
+
+
+def _assert_same_blocks(got, want):
+    assert got.space_bounds == want.space_bounds
+    assert got.time_bounds == want.time_bounds
+    assert (got.num_space, got.num_time) == (want.num_space, want.num_time)
+    # Same keys in the same insertion order, same entries in the same order.
+    assert list(got.blocks.items()) == list(want.blocks.items())
+    for space_idx in range(got.num_space):
+        for time_idx in range(got.num_time):
+            assert got.block(space_idx, time_idx) == want.block(
+                space_idx, time_idx
+            )
+
+
+#: Skewed coordinate pairs in random dataset order, duplicates included.
+SHAPES = st.tuples(st.integers(1, 7), st.integers(1, 7))
+ENTRY_SETS = SHAPES.flatmap(lambda shape: st.tuples(
+    st.just(shape),
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, shape[0] - 1),
+                      st.integers(0, shape[1] - 1)),
+            st.integers(0, 99),
+        ),
+        max_size=60,
+    ),
+))
+
+
+class TestWholeArrayBinningMatchesPerEntryPass:
+    @settings(max_examples=150, deadline=None)
+    @given(case=ENTRY_SETS, num_parts=st.integers(1, 9),
+           balance=st.booleans(), dim=st.integers(0, 1))
+    def test_partition_1d(self, case, num_parts, balance, dim):
+        shape, entries = case
+        bounds = _reference_cut(entries, dim, shape[dim], num_parts, balance)
+        want = _reference_fill(entries, dim, None, bounds, None, 1, False)
+        got = parts.partition_1d(entries, dim, shape[dim], num_parts,
+                                 balance=balance)
+        _assert_same_blocks(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ENTRY_SETS, num_space=st.integers(1, 9),
+           num_time=st.integers(1, 9), balance=st.booleans(),
+           time_sorted=st.booleans(), transpose=st.booleans())
+    def test_partition_2d(self, case, num_space, num_time, balance,
+                          time_sorted, transpose):
+        shape, entries = case
+        space_dim, time_dim = (1, 0) if transpose else (0, 1)
+        space_bounds = _reference_cut(
+            entries, space_dim, shape[space_dim], num_space, balance
+        )
+        time_bounds = _reference_cut(
+            entries, time_dim, shape[time_dim], num_time, balance
+        )
+        want = _reference_fill(entries, space_dim, time_dim, space_bounds,
+                               time_bounds, num_time, time_sorted)
+        got = parts.partition_2d(
+            entries, space_dim, time_dim, shape[space_dim], shape[time_dim],
+            num_space, num_time, balance=balance, time_sorted=time_sorted,
+        )
+        _assert_same_blocks(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ENTRY_SETS, num_space=st.integers(1, 9),
+           num_time=st.integers(1, 9), balance=st.booleans())
+    def test_retile_time_2d(self, case, num_space, num_time, balance):
+        shape, entries = case
+        space_bounds = _reference_cut(entries, 0, shape[0], num_space, balance)
+        time_bounds = _reference_cut(entries, 1, shape[1], num_time, balance)
+        want = _reference_fill(entries, 0, 1, space_bounds, time_bounds,
+                               num_time, True)
+        got = parts.retile_time_2d(entries, 0, 1, shape[1], space_bounds,
+                                   num_time, balance=balance)
+        _assert_same_blocks(got, want)
+
+    def test_more_parts_than_coordinates(self):
+        entries = [((2, 0), 1.0), ((0, 1), 2.0), ((2, 1), 3.0), ((1, 0), 4.0)]
+        got = parts.partition_2d(entries, 0, 1, 3, 2, 5, 4, time_sorted=True)
+        assert got.space_bounds == [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)]
+        assert list(got.blocks.items()) == [
+            ((2, 0), [((2, 0), 1.0)]),
+            ((0, 1), [((0, 1), 2.0)]),
+            ((2, 1), [((2, 1), 3.0)]),
+            ((1, 0), [((1, 0), 4.0)]),
+        ]
+        assert got.block(4, 3) == []
+
+    def test_coordinate_outside_extent_raises(self):
+        with pytest.raises(PartitionError):
+            parts.partition_1d([((5,), 1.0)], 0, 3, 2)

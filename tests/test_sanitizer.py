@@ -9,10 +9,12 @@ actual write/read collision as S601 on both backends.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.api import OrionContext
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.kernels import conflict_free_levels
 from repro.runtime.options import LoopOptions
 from repro.sanitizer import (
     SanitizerError,
@@ -111,6 +113,33 @@ class TestConflictGroupCheck:
         assert verify_conflict_groups(
             rows=[0, 1, 2, 0], cols=[3, 4, 5, 6], groups=[(0, 3), (3, 4)]
         ) == []
+
+    def test_levels_from_conflict_free_levels_pass(self):
+        rows, cols = [0, 1, 0, 2, 1], [5, 6, 7, 5, 8]
+        levels = conflict_free_levels([rows, cols])
+        assert verify_conflict_groups(rows, cols, levels) == []
+
+    def test_planted_same_level_clash(self):
+        # Entries 1 and 3 share column 6 inside one claimed level.
+        diagnostics = verify_conflict_groups(
+            rows=[0, 1, 2, 3],
+            cols=[5, 6, 7, 6],
+            groups=[np.array([0, 1, 3]), np.array([2])],
+        )
+        assert [d.code for d in diagnostics] == ["S602"]
+        assert ("entries", (1, 3)) in diagnostics[0].details
+        assert ("group", (0, 1, 3)) in diagnostics[0].details
+
+    def test_planted_inverted_dependence(self):
+        # Entries 0 and 2 share row 4, but the later entry 2 is claimed to
+        # run a level before entry 0.
+        diagnostics = verify_conflict_groups(
+            rows=[4, 5, 4], cols=[0, 1, 2],
+            groups=[np.array([1, 2]), np.array([0])],
+        )
+        assert [d.code for d in diagnostics] == ["S602"]
+        assert ("entries", (0, 2)) in diagnostics[0].details
+        assert "row 4" in diagnostics[0].message
 
 
 def _fake_loop(ordered=False, arrays=None, dvecs=None):
