@@ -12,6 +12,7 @@ import pytest
 import _workloads as wl
 from repro.analysis.strategy import PlacementKind
 from repro.apps import build_sgd_mf
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
@@ -22,7 +23,7 @@ def _run(force_dims):
         dataset,
         cluster=wl.mf_cluster(),
         hyper=wl.MF_HYPER,
-        force_dims=force_dims,
+        options=LoopOptions(force_dims=force_dims),
     )
     history = program.run(EPOCHS)
     rotated = [

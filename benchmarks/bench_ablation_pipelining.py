@@ -12,6 +12,7 @@ import pytest
 
 import _workloads as wl
 from repro.apps import build_sgd_mf
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 DEPTHS = [1, 2, 4]
@@ -26,7 +27,7 @@ def _sweep():
             dataset,
             cluster=cluster,
             hyper=wl.MF_HYPER,
-            pipeline_depth=depth,
+            options=LoopOptions(pipeline_depth=depth),
         )
         times[depth] = program.run(EPOCHS).time_per_iteration()
     return times

@@ -40,6 +40,7 @@ from repro.apps.slr import build_orion_program as build_slr
 from repro.data.synthetic import lda_corpus, netflix_like, sparse_classification
 from repro.obs.insight import prediction_error
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 WORKER_COUNTS = (1, 2, 4)
@@ -74,7 +75,9 @@ def _run_oracle(build, cluster, epochs: int):
 
 def _run_multiprocess(build, cluster, epochs: int):
     """Forked run: (wall seconds, util, arrays, per-epoch wall seconds)."""
-    program = build(cluster, use_kernel=True, backend="multiprocess")
+    program = build(
+        cluster, use_kernel=True, options=LoopOptions(backend="multiprocess")
+    )
     loop = program.train_loop
     try:
         loop.run(1)  # warm-up: fork, shared-memory adoption, kernel caches

@@ -13,6 +13,7 @@ import _workloads as wl
 from repro.apps import LDAApp, SGDMFApp, build_lda, build_sgd_mf
 from repro.baselines import run_serial
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 WORKER_SWEEP = [1, 2, 4, 8, 12, 24, 48]
 EPOCHS = 3
@@ -59,7 +60,7 @@ def _sweep_lda():
             dataset,
             cluster=cluster,
             hyper=wl.LDA_HYPER,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
         )
         history = program.run(EPOCHS)
         t = history.time_per_iteration()

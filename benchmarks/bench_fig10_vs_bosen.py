@@ -16,6 +16,7 @@ import pytest
 import _workloads as wl
 from repro.apps import LDAApp, MFHyper, SGDMFApp, build_lda, build_sgd_mf
 from repro.baselines import run_bosen, run_managed_comm
+from repro.runtime.options import LoopOptions
 
 EPOCHS_MF = 8
 EPOCHS_LDA = 5
@@ -74,7 +75,7 @@ def _run_lda():
             dataset,
             cluster=cluster,
             hyper=wl.LDA_HYPER,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
         ).run(EPOCHS_LDA),
     }
     return runs

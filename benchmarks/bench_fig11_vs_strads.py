@@ -13,6 +13,7 @@ import pytest
 import _workloads as wl
 from repro.apps import build_lda, build_sgd_mf
 from repro.baselines import run_strads
+from repro.runtime.options import LoopOptions
 
 EPOCHS_MF = 6
 EPOCHS_LDA = 4
@@ -41,14 +42,14 @@ def _run_lda():
         dataset,
         cluster=cluster,
         hyper=wl.LDA_HYPER,
-        pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
     ).run(EPOCHS_LDA)
     strads = run_strads(
         lambda c: build_lda(
             dataset,
             cluster=c,
             hyper=wl.LDA_HYPER,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
         ),
         cluster,
         EPOCHS_LDA,

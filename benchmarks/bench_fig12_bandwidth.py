@@ -12,6 +12,7 @@ import pytest
 import _workloads as wl
 from repro.apps import LDAApp, build_lda
 from repro.baselines import run_managed_comm
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
@@ -23,7 +24,7 @@ def _run_both():
         dataset,
         cluster=cluster,
         hyper=wl.LDA_HYPER,
-        pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
     ).run(EPOCHS)
     cm = run_managed_comm(
         LDAApp(dataset, wl.LDA_HYPER, seed=0),

@@ -21,6 +21,7 @@ import pytest
 
 import _workloads as wl
 from repro.apps import build_lda, build_sgd_mf
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
@@ -41,7 +42,7 @@ def _measure_mf(adarev: bool):
             cluster=wl.mf_cluster(adarev=adarev),
             hyper=hyper,
             ordered=ordered,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
         )
         times[ordered] = program.run(EPOCHS).time_per_iteration()
     return times[True], times[False]
@@ -56,7 +57,7 @@ def _measure_lda():
             cluster=wl.lda_cluster(),
             hyper=wl.LDA_HYPER,
             ordered=ordered,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
         )
         times[ordered] = program.run(EPOCHS).time_per_iteration()
     return times[True], times[False]

@@ -63,8 +63,8 @@ faulted = build(
     options=LoopOptions(
         faults=plan,
         checkpoint=CheckpointConfig(ckpt_dir, every_n_epochs=2),
+        obs=obs,
     ),
-    obs=obs,
 )
 faulted_history = faulted.run(EPOCHS)
 faulted_state = {n: faulted.arrays[n].values.copy() for n in ("W", "H")}

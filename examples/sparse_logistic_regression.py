@@ -16,6 +16,7 @@ from repro import ClusterSpec
 from repro.apps import SLRHyper, build_slr
 from repro.apps.slr import slr_cost_model
 from repro.data import sparse_classification
+from repro.runtime.options import LoopOptions
 
 dataset = sparse_classification(
     num_samples=1200, num_features=500, nnz_per_sample=10, seed=5
@@ -48,12 +49,12 @@ for record in history.records:
 # pass into a compute-bound one; caching the indices shaves the synthesis
 # re-execution cost.
 print("\nper-pass virtual time by prefetch configuration:")
-for label, opts in [
-    ("no prefetch (per-read round trips)", {"prefetch": "none"}),
-    ("bulk prefetch", {"prefetch": "auto", "cache_prefetch": False}),
-    ("bulk prefetch + cached indices", {"prefetch": "auto", "cache_prefetch": True}),
+for label, options in [
+    ("no prefetch (per-read round trips)", LoopOptions(prefetch="none")),
+    ("bulk prefetch", LoopOptions(prefetch="auto", cache_prefetch=False)),
+    ("bulk prefetch + cached indices", LoopOptions(prefetch="auto", cache_prefetch=True)),
 ]:
-    trial = build_slr(dataset, cluster=cluster, hyper=hyper, seed=2, **opts)
+    trial = build_slr(dataset, cluster=cluster, hyper=hyper, seed=2, options=options)
     trial.run(1)  # warm-up pass (populates caches)
     second = trial.run(1)
     print(f"  {label:38s}: {second.records[-1].epoch_time_s:9.4f} s/pass")

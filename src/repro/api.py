@@ -34,7 +34,6 @@ construction exactly once; each ``run()`` executes one pass.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -56,7 +55,7 @@ from repro.runtime.backend import Backend, create_backend
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import EpochResult, OrionExecutor
 from repro.runtime.network import TrafficLog
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 
 __all__ = ["OrionContext", "ParallelLoop"]
 
@@ -76,29 +75,34 @@ class ParallelLoop:
         info: LoopInfo,
         plan: Plan,
         executor: OrionExecutor,
-        options: Optional[LoopOptions] = None,
     ) -> None:
         self.ctx = ctx
         self.body = body
         self.info = info
         self.plan = plan
         self.executor = executor
-        self.options = options if options is not None else executor.options
+        self.options = executor.options
         #: Logical (1-based) epoch counter across run() calls — fault
         #: events are pinned against this, not the executor's pass count.
         self._epoch = 0
         self._recovery: Optional[RecoveryManager] = None
         opts = self.options
-        if opts.backend == "multiprocess" and (
-            opts.faults is not None or opts.checkpoint is not None
-        ):
+        if opts.backend == "multiprocess":
             from repro.errors import ExecutionError
 
-            raise ExecutionError(
-                "fault injection and checkpointing model virtual-clock "
-                "crashes; they are not supported on the multiprocess "
-                "backend (run them on backend='simulated')"
-            )
+            if opts.faults is not None or opts.checkpoint is not None:
+                raise ExecutionError(
+                    "fault injection and checkpointing model virtual-clock "
+                    "crashes; they are not supported on the multiprocess "
+                    "backend (run them on backend='simulated')"
+                )
+            if opts.validate:
+                raise ExecutionError(
+                    "validate=True is not supported on the multiprocess "
+                    "backend (its workers do not record accesses); use "
+                    "sanitize=True, the race check that runs on both "
+                    "backends"
+                )
         #: The adaptive tuner (``tune="auto"|"cached"``); ``None`` keeps
         #: the default path free of even the import.
         self._tuner: Optional["AdaptiveTuner"] = None
@@ -230,7 +234,7 @@ class ParallelLoop:
 
     def close(self) -> None:
         """Release the backend's resources (worker processes, shared
-        memory, thread pools).  Safe to call more than once; the loop can
+        memory).  Safe to call more than once; the loop can
         still run afterwards — the backend re-acquires what it needs."""
         self.backend.close()
 
@@ -447,23 +451,7 @@ class OrionContext:
     def parallel_for(
         self,
         iteration_space: DistArray,
-        ordered: Any = UNSET,
-        force_dims: Any = UNSET,
-        pipeline_depth: Any = UNSET,
-        balance: Any = UNSET,
-        validate: Any = UNSET,
-        prefetch: Any = UNSET,
-        cache_prefetch: Any = UNSET,
-        concurrency: Any = UNSET,
-        backend: Any = UNSET,
-        kernel: Any = UNSET,
-        equivalence_check: Any = UNSET,
-        sanitize: Any = UNSET,
-        tracer: Any = UNSET,
-        metrics: Any = UNSET,
-        trace_process: Any = UNSET,
         options: Optional[LoopOptions] = None,
-        obs: Any = UNSET,
     ) -> Callable[[Callable[..., Any]], ParallelLoop]:
         """Parallelize a loop body over ``iteration_space``.
 
@@ -472,9 +460,8 @@ class OrionContext:
         iteration space and builds the schedule — once.  The decorated name
         becomes a :class:`ParallelLoop`.
 
-        Configuration is **options-first**: build a
-        :class:`~repro.runtime.options.LoopOptions` and pass it as
-        ``options=`` —
+        Every knob lives on one :class:`~repro.runtime.options.LoopOptions`
+        passed as ``options=`` —
 
         .. code-block:: python
 
@@ -483,78 +470,18 @@ class OrionContext:
                 options=LoopOptions(pipeline_depth="auto", kernel="auto"),
             )(body)
 
-        Every field is documented on ``LoopOptions`` itself; the knobs
-        that exist only there include fault injection (``faults`` /
-        ``checkpoint``), run recording (``run_store`` / ``run_label``)
-        and adaptive tuning (``tune="auto"|"cached"``, see
-        ``docs/tuning.md``).
-
-        .. deprecated::
-            The historical bare keyword arguments (``ordered=``,
-            ``pipeline_depth=``, ``prefetch=``, ... — everything except
-            ``options`` and ``obs``) still work and override the
-            corresponding ``LoopOptions`` field, but emit a
-            :class:`DeprecationWarning`; migrate to
-            ``options=LoopOptions(...)`` (or
-            ``options.merged_with(...)`` for call-site overrides).
+        including fault injection (``faults`` / ``checkpoint``), run
+        recording (``run_store`` / ``run_label``) and adaptive tuning
+        (``tune="auto"|"cached"``, see ``docs/tuning.md``).
 
         Args:
             iteration_space: materialized DistArray to iterate over.
-            options: the :class:`~repro.runtime.options.LoopOptions`
-                bundle carrying every knob.
-            obs: per-loop :class:`~repro.obs.observability.Observability`
-                bundle (defaults to the context's).
+            options: the loop's configuration (default: ``LoopOptions()``).
+                Its ``obs`` defaults to the context's observability.
         """
-        legacy = {
-            "ordered": ordered,
-            "force_dims": force_dims,
-            "pipeline_depth": pipeline_depth,
-            "balance": balance,
-            "validate": validate,
-            "prefetch": prefetch,
-            "cache_prefetch": cache_prefetch,
-            "concurrency": concurrency,
-            "backend": backend,
-            "kernel": kernel,
-            "equivalence_check": equivalence_check,
-            "sanitize": sanitize,
-            "tracer": tracer,
-            "metrics": metrics,
-            "trace_process": trace_process,
-        }
-        passed = [name for name, value in legacy.items() if value is not UNSET]
-        if passed:
-            warnings.warn(
-                "passing loop configuration to parallel_for as bare "
-                f"keyword arguments ({', '.join(passed)}) is deprecated; "
-                "pass options=LoopOptions(...) instead (see the "
-                "LoopOptions docstring for the migration guide)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        opts = (options if options is not None else LoopOptions()).merged_with(
-            ordered=ordered,
-            force_dims=force_dims,
-            pipeline_depth=pipeline_depth,
-            balance=balance,
-            validate=validate,
-            prefetch=prefetch,
-            cache_prefetch=cache_prefetch,
-            concurrency=concurrency,
-            backend=backend,
-            kernel=kernel,
-            equivalence_check=equivalence_check,
-            sanitize=sanitize,
-            tracer=tracer,
-            metrics=metrics,
-            obs=obs,
-            trace_process=trace_process,
-        )
-        resolved = opts.resolve_obs(default=self.obs)
-        final = replace(opts, obs=resolved, tracer=None, metrics=None)
-        if final.backend == "threaded" and final.concurrency == "serial":
-            # The threaded backend *is* the executor's thread-pool mode.
-            final = replace(final, concurrency="threads")
+        final = options if options is not None else LoopOptions()
+        if final.obs is None:
+            final = replace(final, obs=self.obs)
         if final.tune == "auto" and not final.obs.tracer.enabled:
             # The tuner's model scan reads the epoch attribution, so an
             # adapting loop needs a live tracer; attach a private one
@@ -575,9 +502,7 @@ class OrionContext:
             executor = OrionExecutor(
                 body, info, plan, self.cluster, options=final
             )
-            loop = ParallelLoop(
-                self, body, info, plan, executor, options=final
-            )
+            loop = ParallelLoop(self, body, info, plan, executor)
             self._loops.append(loop)
             return loop
 

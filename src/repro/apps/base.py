@@ -26,13 +26,11 @@ import numpy as np
 from repro.api import OrionContext, ParallelLoop
 from repro.runtime.executor import EpochResult
 from repro.runtime.history import RunHistory
-from repro.runtime.options import LoopOptions
 
 __all__ = [
     "OrionProgram",
     "SerialApp",
     "resolve_kernel_option",
-    "resolve_loop_options",
 ]
 
 Entry = Tuple[Tuple[int, ...], Any]
@@ -71,22 +69,6 @@ def resolve_kernel_option(
         f"use_kernel must be True, False, 'hand', 'auto' or 'off' "
         f"(got {use_kernel!r})"
     )
-
-
-def resolve_loop_options(loop_opts: Dict[str, Any]) -> LoopOptions:
-    """Fold a builder's remaining ``**loop_opts`` into one ``LoopOptions``.
-
-    App builders accept either an options-first ``options=LoopOptions(...)``
-    or the historical per-knob keyword arguments (which ``parallel_for``
-    itself deprecates).  This merges both — explicit kwargs win over the
-    ``options`` bundle — and empties ``loop_opts`` so the builder can make
-    a single warning-free ``parallel_for(space, options=...)`` call.
-    """
-    base = loop_opts.pop("options", None) or LoopOptions()
-    if loop_opts:
-        base = base.merged_with(**loop_opts)
-        loop_opts.clear()
-    return base
 
 
 @dataclass

@@ -18,7 +18,7 @@ arrays rotated together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,9 +29,9 @@ from repro.apps.base import (
     OrionProgram,
     SerialApp,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = [
@@ -151,14 +151,15 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the GloVe Orion program (2D unordered).
 
     GloVe ships no hand-written kernel; ``use_kernel=True`` (default)
     therefore synthesizes one from the loop body (``kernel="auto"``) —
     the app picks up the batched fast path for free.  Pass ``False`` /
-    ``"off"`` for the scalar interpreter.
+    ``"off"`` for the scalar interpreter.  ``options`` configures the
+    loop; ``use_kernel`` overrides its ``kernel`` field.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -185,8 +186,8 @@ def build_orion_program(
         bw[key[0]] = bw[key[0]] - scale
         bc[key[1]] = bc[key[1]] - scale
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
+    kernel_opt = resolve_kernel_option(use_kernel)
+    opts = replace(options or LoopOptions(), kernel=kernel_opt)
     loop = ctx.parallel_for(cooc, options=opts)(body)
 
     def loss_fn() -> float:

@@ -19,7 +19,7 @@ production GBT systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -28,10 +28,10 @@ from repro.api import OrionContext
 from repro.apps.base import (
     OrionProgram,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.data.synthetic import TableDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["GBTHyper", "build_orion_program", "gbt_cost_model", "quantize_features"]
@@ -115,7 +115,7 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the GBT Orion program (one epoch = one boosting round).
 
@@ -123,7 +123,9 @@ def build_orion_program(
     (``kernel="auto"``) for each of the round's three loops.  The
     histogram loop batches (its shared writes are buffered); the grow and
     apply loops fall back to the scalar interpreter with W50x diagnostics
-    (state-dependent branching / unbuffered shared writes).
+    (state-dependent branching / unbuffered shared writes).  ``options``
+    configures all three loops; ``use_kernel`` overrides its ``kernel``
+    field.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -175,8 +177,8 @@ def build_orion_program(
         preds[key[0]] = preds[key[0]] + leaf_values[leaf]
         node_assign[key[0]] = 0.0
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
+    kernel_opt = resolve_kernel_option(use_kernel)
+    opts = replace(options or LoopOptions(), kernel=kernel_opt)
     hist_loop = ctx.parallel_for(samples, options=opts)(hist_body)
     grow_loop = ctx.parallel_for(samples, options=opts)(grow_body)
     apply_loop = ctx.parallel_for(samples, options=opts)(apply_body)

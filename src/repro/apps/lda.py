@@ -18,7 +18,7 @@ and parallelizes the loop 2D unordered, exactly the paper's Table 2 entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,10 +29,10 @@ from repro.apps.base import (
     OrionProgram,
     SerialApp,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.data.synthetic import CorpusDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["LDAHyper", "LDAApp", "build_orion_program", "lda_cost_model", "lda_log_likelihood"]
@@ -115,7 +115,7 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the LDA Orion program.
 
@@ -134,6 +134,9 @@ def build_orion_program(
     RNG consumption order is unchanged, so samples — and therefore all
     counts — are identical to the scalar path.  Note ``equivalence_check``
     cannot be used with LDA: replaying a block advances the shared RNG.
+
+    ``options`` configures the loop; ``ordered`` and ``use_kernel``
+    override its ``ordered`` and ``kernel`` fields.
     """
     if parallelism not in ("2d", "1d"):
         raise ValueError(f"unknown LDA parallelism {parallelism!r}")
@@ -421,13 +424,10 @@ def build_orion_program(
             kctx.account_row_writes(doc_topic, docs)
             kctx.account_point_writes(assignments, keys)
 
-    kernel_opt = loop_opts.pop(
-        "kernel", resolve_kernel_option(use_kernel, kernel)
-    )
-    opts = resolve_loop_options(loop_opts)
+    kernel_opt = resolve_kernel_option(use_kernel, kernel)
     loop = ctx.parallel_for(
         corpus,
-        options=opts.merged_with(ordered=ordered, kernel=kernel_opt),
+        options=replace(options or LoopOptions(), ordered=ordered, kernel=kernel_opt),
     )(body)
 
     def loss_fn() -> float:

@@ -15,7 +15,7 @@ networks.  The weight DistArrays are 2-D; buffer writes address whole rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,9 +26,9 @@ from repro.apps.base import (
     OrionProgram,
     SerialApp,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["MLPHyper", "MLPApp", "build_orion_program", "mlp_cost_model", "make_blobs"]
@@ -116,7 +116,7 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the MLP Orion program (dense access; buffered data parallelism).
 
@@ -129,7 +129,8 @@ def build_orion_program(
     (``kernel="auto"``).  The body folds its loss into an accumulator, so
     synthesis currently falls back to the scalar interpreter with a W501
     diagnostic — the flag documents the intent and keeps the builder
-    uniform with the other apps.
+    uniform with the other apps.  ``options`` configures the loop;
+    ``use_kernel`` overrides its ``kernel`` field.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -167,8 +168,8 @@ def build_orion_program(
         w2_buf[:, :] = -step * g_w2
         b2_buf[:] = -step * g_b2
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
+    kernel_opt = resolve_kernel_option(use_kernel)
+    opts = replace(options or LoopOptions(), kernel=kernel_opt)
     loop = ctx.parallel_for(samples, options=opts)(body)
 
     def loss_fn() -> float:

@@ -11,7 +11,7 @@ rotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -23,10 +23,10 @@ from repro.apps.base import (
     OrionProgram,
     SerialApp,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.data.synthetic import MFDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.kernels import conflict_free_levels
 from repro.runtime.simtime import CostModel
 
@@ -121,7 +121,7 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the paper's Fig. 5 program against the real Orion API.
 
@@ -139,6 +139,9 @@ def build_orion_program(
     elementwise updates over conflict-free dependence levels; dot products stay
     in the body's exact strided-view form).  Pass ``False`` to force the
     scalar path everywhere.
+
+    ``options`` configures both loops; ``ordered`` and ``use_kernel``
+    override its ``ordered`` and ``kernel`` fields for the training loop.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -274,13 +277,10 @@ def build_orion_program(
             kctx.account_col_reads(H, cols)
             kctx.account_col_writes(H, cols)
 
-    kernel_opt = loop_opts.pop(
-        "kernel", resolve_kernel_option(use_kernel, kernel)
-    )
-    base_opts = resolve_loop_options(loop_opts)
+    base_opts = options or LoopOptions()
+    kernel_opt = resolve_kernel_option(use_kernel, kernel)
     loop = ctx.parallel_for(
-        ratings,
-        options=base_opts.merged_with(ordered=ordered, kernel=kernel_opt),
+        ratings, options=replace(base_opts, ordered=ordered, kernel=kernel_opt)
     )(body)
     rows, cols, values = _index_arrays(dataset.entries)
 

@@ -16,7 +16,7 @@ element-wise UDF — the atomic read-modify-write hook the paper highlights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -27,10 +27,10 @@ from repro.apps.base import (
     OrionProgram,
     SerialApp,
     resolve_kernel_option,
-    resolve_loop_options,
 )
 from repro.data.synthetic import SLRDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["SLRHyper", "SLRApp", "build_orion_program", "slr_cost_model", "logistic_loss"]
@@ -92,7 +92,7 @@ def build_orion_program(
     seed: int = 0,
     label: Optional[str] = None,
     use_kernel: Any = True,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the SLR Orion program (1D data parallelism with buffers).
 
@@ -101,7 +101,8 @@ def build_orion_program(
     boundary, so the weights are frozen during the block), sequential
     per-sample margin accumulation in the body's exact order, and one bulk
     buffer merge — bit-identical weights and traffic accounting to the
-    scalar path.
+    scalar path.  ``options`` configures the loop; ``use_kernel``
+    overrides its ``kernel`` field.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -173,10 +174,8 @@ def build_orion_program(
         kctx.buffer_add(weight_buf, flat_fids, values)
         kctx.account_point_reads(weights, flat_fids)
 
-    kernel_opt = loop_opts.pop(
-        "kernel", resolve_kernel_option(use_kernel, kernel)
-    )
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
+    kernel_opt = resolve_kernel_option(use_kernel, kernel)
+    opts = replace(options or LoopOptions(), kernel=kernel_opt)
     loop = ctx.parallel_for(samples, options=opts)(body)
 
     def loss_fn() -> float:

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from repro.apps.base import OrionProgram
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.history import RunHistory
+from repro.runtime.options import LoopOptions
 
 __all__ = ["strads_cluster", "run_strads"]
 
@@ -53,9 +54,7 @@ def run_strads(
     epochs: int,
     speed_factor: float = 1.0,
     label: Optional[str] = None,
-    builder_opts: Optional[dict] = None,
-    options=None,
-    obs=None,
+    options: Optional[LoopOptions] = None,
 ) -> RunHistory:
     """Run a manually model-parallel (STRADS) version of a program.
 
@@ -65,22 +64,13 @@ def run_strads(
     constants differ.
 
     Args:
-        builder_opts: extra keyword arguments forwarded to the builder —
-            e.g. ``{"tracer": tracer, "trace_process": "strads"}`` to place
-            this run's spans next to Orion's in one trace file.
         options: optional :class:`~repro.runtime.options.LoopOptions`
-            (e.g. carrying a fault plan/checkpoint config) forwarded to the
-            builder's ``parallel_for`` calls.
-        obs: optional bundled observability, forwarded likewise.
+            forwarded to the builder as ``options=`` when given — e.g.
+            carrying a fault plan, or ``trace_process="strads"`` to place
+            this run's spans next to Orion's in one trace file.
     """
-    opts = dict(builder_opts or {})
-    if options is not None:
-        opts.setdefault("options", options)
-    if obs is not None:
-        opts.setdefault("obs", obs)
-    program = build_program(
-        strads_cluster(base_cluster, speed_factor), **opts
-    )
+    extra = {} if options is None else {"options": options}
+    program = build_program(strads_cluster(base_cluster, speed_factor), **extra)
     history = program.run(epochs)
     history.label = label or f"STRADS {program.label.replace('Orion ', '')}"
     return history

@@ -105,6 +105,7 @@ from repro.data import (
 from repro.faults.plan import FaultPlan, Straggler
 from repro.obs import (
     MetricsRegistry,
+    Observability,
     RunStore,
     Tracer,
     add_traffic_spans,
@@ -170,9 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", default="simulated", choices=list(BACKENDS),
         help="execution backend for the orion engines: 'simulated' "
-             "(virtual-clock oracle), 'threaded' (in-process thread pool), "
-             "'multiprocess' (forked workers over shared memory, real "
-             "wall-clock epochs)",
+             "(virtual-clock oracle) or 'multiprocess' (forked workers "
+             "over shared memory, real wall-clock epochs)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -244,28 +244,25 @@ def _fault_plan(args, cluster: ClusterSpec) -> Optional[FaultPlan]:
     return None
 
 
-def _fault_options(
-    engine: str, args, cluster: ClusterSpec, backend: Optional[str] = None,
+def _loop_options(
+    engine: str, args, cluster: ClusterSpec,
+    obs: Optional[Observability] = None, backend: str = "simulated",
     tune: str = "off",
-) -> Optional[LoopOptions]:
-    """LoopOptions carrying this engine's fault plan / checkpoint config.
+) -> LoopOptions:
+    """The one LoopOptions an Orion-built engine's loops run with: its
+    observability, backend, tuning, fault plan / checkpoint config,
+    sanitizing, run recording, ordering (``orion-ordered``), and
+    ``engine`` as the trace process.
 
     GBT runs several parallel loops per boosting round, which would race on
     one checkpoint directory — it gets fault injection but no on-disk
     checkpointing (crashes replay from the initial in-memory snapshot).
 
-    ``backend`` (orion engines only) selects the execution backend; the
-    baseline engines model their systems on the virtual clock and ignore
-    ``--backend``.  ``tune`` (orion engines only) enables the adaptive
-    tuner — mutually exclusive with fault injection, which ``main``
-    rejects up front.
+    ``backend`` and ``tune`` apply to the orion engines only: STRADS
+    models its system on the virtual clock, and the adaptive tuner is
+    mutually exclusive with fault injection, which ``main`` rejects up
+    front.
     """
-    if not (
-        args.faults or args.ckpt_every or backend is not None
-        or args.sanitize or getattr(args, "slow_factor", None)
-        or getattr(args, "run_store", None) or tune != "off"
-    ):
-        return None
     checkpoint = None
     if args.ckpt_every and args.app != "gbt":
         checkpoint = CheckpointConfig(
@@ -273,10 +270,13 @@ def _fault_options(
             every_n_epochs=args.ckpt_every,
         )
     return LoopOptions(
+        ordered=engine == "orion-ordered",
         faults=_fault_plan(args, cluster),
         checkpoint=checkpoint,
-        backend=backend or "simulated",
+        backend=backend,
         sanitize=args.sanitize,
+        obs=obs,
+        trace_process=engine,
         run_store=getattr(args, "run_store", None),
         run_label=f"{args.app}:{engine}",
         tune=tune,
@@ -301,8 +301,9 @@ def _dataset_and_builders(args):
         return (
             dataset,
             cost,
-            lambda cluster, **kw: build_sgd_mf(
-                dataset, cluster=cluster, hyper=hyper, **kw
+            lambda cluster, options, **kw: build_sgd_mf(
+                dataset, cluster=cluster, hyper=hyper,
+                ordered=options.ordered, options=options, **kw
             ),
             SGDMFApp(dataset, hyper),
         )
@@ -320,9 +321,10 @@ def _dataset_and_builders(args):
         return (
             dataset,
             cost,
-            lambda cluster, **kw: build_lda(
+            lambda cluster, options, **kw: build_lda(
                 dataset, cluster=cluster, hyper=hyper,
-                parallelism=parallelism, **kw
+                parallelism=parallelism, ordered=options.ordered,
+                options=options, **kw
             ),
             LDAApp(dataset, hyper, seed=args.seed),
         )
@@ -359,9 +361,6 @@ def _run_engine(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[RunHistory]:
-    obs_opts = {}
-    if tracer is not None:
-        obs_opts = {"tracer": tracer, "metrics": metrics}
     if engine == "serial":
         if app is None:
             return None
@@ -369,35 +368,23 @@ def _run_engine(
             app, args.epochs, seed=args.seed, cost=cluster.cost,
             tracer=tracer,
         )
-    backend = args.backend if args.backend != "simulated" else None
-    tune = getattr(args, "tune", "off")
-    if engine == "orion":
-        fault_opts = _fault_options(
-            engine, args, cluster, backend=backend, tune=tune
+    obs = (
+        Observability(tracer=tracer, metrics=metrics)
+        if tracer is not None else None
+    )
+    if engine in ("orion", "orion-ordered"):
+        options = _loop_options(
+            engine, args, cluster, obs=obs, backend=args.backend,
+            tune=getattr(args, "tune", "off"),
         )
-        extra = {"options": fault_opts} if fault_opts is not None else {}
-        return builder(cluster, **obs_opts, **extra).run(args.epochs)
-    if engine == "orion-ordered":
-        fault_opts = _fault_options(
-            engine, args, cluster, backend=backend, tune=tune
-        )
-        extra = {"options": fault_opts} if fault_opts is not None else {}
-        try:
-            return builder(
-                cluster, ordered=True,
-                **dict(obs_opts, trace_process="orion-ordered")
-                if obs_opts else {},
-                **extra,
-            ).run(args.epochs)
-        except TypeError:
-            return None  # app builder has no ordered mode (GBT)
+        return builder(cluster, options=options).run(args.epochs)
     if app is None:
         return None  # remaining engines need the numpy app form
     if engine == "bosen":
         return run_bosen(
             app, cluster, args.epochs, seed=args.seed,
             faults=_fault_plan(args, cluster), ckpt_every=args.ckpt_every,
-            **obs_opts,
+            obs=obs,
         )
     if engine == "cm":
         return run_managed_comm(
@@ -407,9 +394,7 @@ def _run_engine(
     if engine == "strads":
         return run_strads(
             builder, cluster, args.epochs,
-            builder_opts=dict(obs_opts, trace_process="strads")
-            if obs_opts else None,
-            options=_fault_options(engine, args, cluster),
+            options=_loop_options(engine, args, cluster, obs=obs),
         )
     if engine == "tf":
         if not isinstance(app, SGDMFApp):
@@ -505,12 +490,7 @@ def _lint_main(argv: List[str], out) -> int:
         workers_per_machine=args.workers_per_machine,
         **cluster_kwargs,
     )
-    try:
-        extra = {"ordered": True} if args.ordered else {}
-        program = builder(cluster, **extra)
-    except TypeError:
-        out.write(f"app {args.app!r} has no ordered loop variant\n")
-        return 2
+    program = builder(cluster, options=LoopOptions(ordered=args.ordered))
     loop = program.train_loop
     report = run_lint(
         loop.body, loop.info.iteration_space, ordered=loop.info.ordered
@@ -576,8 +556,10 @@ def _synth_main(argv: List[str], out) -> int:
             workers_per_machine=args.workers_per_machine,
             **cluster_kwargs,
         )
-    extra = {"equivalence_check": True} if args.check else {}
-    program = builder(cluster, use_kernel="auto", **extra)
+    program = builder(
+        cluster, use_kernel="auto",
+        options=LoopOptions(equivalence_check=args.check),
+    )
     loop = program.train_loop
     synth = loop.synthesis()
     out.write(f"== synth: {args.app} ==\n{synth.describe()}\n")

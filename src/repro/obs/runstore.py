@@ -147,7 +147,6 @@ def loop_signature(loop: Any, exclude: Sequence[str] = ()) -> str:
         "prefetch": executor.prefetch_mode,
         "cache_prefetch": bool(executor.cache_prefetch),
         "balance": bool(executor.balance),
-        "concurrency": executor.concurrency,
         "sanitize": bool(opts.sanitize),
     }
     for key in exclude:

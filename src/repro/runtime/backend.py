@@ -1,19 +1,15 @@
 """Pluggable execution backends for compiled parallel loops.
 
 One compiled plan — analysis, placements, partitions, schedule — can run
-on any of three backends, selected with ``parallel_for(...,
-backend=...)`` or ``--backend`` on the CLI (the executor/provider split
-Parsl popularized, applied to Orion's plans):
+on either of two backends, selected with ``LoopOptions(backend=...)`` or
+``--backend`` on the CLI (the executor/provider split Parsl popularized,
+applied to Orion's plans):
 
 ``simulated``
     The deterministic virtual-clock linearization
-    (:class:`~repro.runtime.executor.OrionExecutor`).  The oracle: every
-    other backend's dependence-preserving runs are compared bitwise
+    (:class:`~repro.runtime.executor.OrionExecutor`).  The oracle: the
+    multiprocess backend's dependence-preserving runs are compared bitwise
     against it.
-``threaded``
-    The same executor with each schedule step's blocks on a thread pool
-    (``concurrency="threads"``) — real in-process concurrency, still on
-    the virtual clock.
 ``multiprocess``
     Forked OS processes over shared-memory partitions
     (:class:`~repro.runtime.distributed.MultiprocessRunner`): real
@@ -38,13 +34,12 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "SimulatedBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     "create_backend",
 ]
 
 #: Valid ``LoopOptions.backend`` values, in oracle-to-real order.
-BACKENDS: Tuple[str, ...] = ("simulated", "threaded", "multiprocess")
+BACKENDS: Tuple[str, ...] = ("simulated", "multiprocess")
 
 
 class Backend:
@@ -59,12 +54,12 @@ class Backend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release any resources (processes, pools, shared memory)."""
+        """Release any resources (processes, shared memory)."""
 
     def on_retune(self) -> None:
         """The executor's partitions/schedule changed between epochs
         (adaptive tuning).  Backends holding state derived from them must
-        invalidate it here; the virtual-clock backends read the executor
+        invalidate it here; the simulated backend reads the executor
         directly every epoch, so the default is a no-op."""
 
 
@@ -80,20 +75,6 @@ class SimulatedBackend(Backend):
         self, t0: float = 0.0, epoch: Optional[int] = None
     ) -> EpochResult:
         return self._executor.run_epoch(t0=t0, epoch=epoch)
-
-    def close(self) -> None:
-        self._executor.close()
-
-
-class ThreadedBackend(SimulatedBackend):
-    """The executor with ``concurrency="threads"``.
-
-    The promotion happens at ``parallel_for`` time (the executor is built
-    threaded), so mechanically this is the simulated adapter — the class
-    exists so ``loop.backend.name`` reports what was asked for.
-    """
-
-    name = "threaded"
 
 
 class MultiprocessBackend(Backend):
@@ -124,7 +105,6 @@ class MultiprocessBackend(Backend):
         if self._runner is not None:
             self._runner.close()
             self._runner = None
-        self._loop.executor.close()
 
     def on_retune(self) -> None:
         """Forked workers snapshot the executor's partitions at
@@ -140,8 +120,6 @@ def create_backend(loop: "ParallelLoop") -> Backend:
     backend = loop.options.backend
     if backend == "simulated":
         return SimulatedBackend(loop)
-    if backend == "threaded":
-        return ThreadedBackend(loop)
     if backend == "multiprocess":
         return MultiprocessBackend(loop)
     raise ExecutionError(f"unknown backend {backend!r}")

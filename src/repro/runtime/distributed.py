@@ -452,9 +452,8 @@ class MultiprocessRunner:
         with MultiprocessRunner(loop) as runner:
             runner.run_epoch()
 
-    Or select it declaratively — ``parallel_for(..., backend=
-    "multiprocess")`` makes ``loop.run()`` construct and drive one of
-    these under the hood.
+    Or select it declaratively — ``LoopOptions(backend="multiprocess")``
+    makes ``loop.run()`` construct and drive one of these under the hood.
 
     While the runner is open, the loop's dense arrays live in shared
     memory; the master sees worker updates immediately (driver-side loss
@@ -470,7 +469,7 @@ class MultiprocessRunner:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "the multiprocess backend requires the fork start method "
-                "(POSIX); use backend='threaded' here"
+                "(POSIX); use backend='simulated' here"
             )
         self.loop = loop
         self.executor = loop.executor

@@ -36,7 +36,7 @@ from repro.runtime import partition as parts
 from repro.runtime import schedule as sched
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.kernels import KernelContext, normalize_index
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 from repro.runtime.pserver import PrefetchManager, index_nbytes
 
 __all__ = [
@@ -96,8 +96,8 @@ class _AccountingBroker(access.AccessBroker):
     """Counts server-array traffic and, in validation mode, records every
     touched index for the post-epoch serializability check.
 
-    One instance is created per task, so concurrently executing tasks
-    (threaded backend) never share mutable accounting state.
+    One instance is created per task, so tasks never share mutable
+    accounting state.
     """
 
     def __init__(self, server_ids: Set[int], validate: bool) -> None:
@@ -278,48 +278,46 @@ class OrionExecutor:
         info: static analysis of the body.
         plan: the chosen parallelization.
         cluster: simulated cluster spec.
-        options: a :class:`~repro.runtime.options.LoopOptions` carrying
-            every knob below plus the fault-injection configuration
-            (``faults`` / ``checkpoint``).  The individual keyword
-            arguments remain accepted; explicitly passed ones override
-            the corresponding ``options`` field.
-        obs: bundled observability (tracer + metrics); the legacy
-            ``tracer=`` / ``metrics=`` kwargs override it component-wise.
-        pipeline_depth: time partitions per worker for unordered 2D
-            (paper Fig. 8 uses 2).
-        balance: histogram-balanced partition bounds (vs. equal width).
-        validate: record accesses and verify that same-step blocks touch
-            disjoint elements (serializability check; slow, for tests).
-        prefetch: ``"auto"`` synthesizes and uses a bulk-prefetch function
-            for server arrays, ``"none"`` models per-access round trips.
-        cache_prefetch: cache each block's prefetch indices across epochs
-            (on by default — the paper's 9.2 s → 6.3 s step; pass ``False``
-            to model re-running the synthesized function every pass).
-        concurrency: ``"serial"`` executes scheduled-concurrent blocks one
-            after another (a linearization — the default, fully
-            deterministic); ``"threads"`` runs each step's blocks on a
-            thread pool, demonstrating that the schedule's concurrency
-            claims hold under genuine parallel execution (dependence-
-            preserving plans touch disjoint elements, so results match the
-            serial linearization).
-        kernel: optional batched kernel ``kernel(block_entries, kctx)``
-            applying one block's updates with bulk NumPy operations (see
-            :mod:`repro.runtime.kernels`).  Used only when the plan proves
-            block-batched execution legal; the scalar body runs otherwise.
-        equivalence_check: execute the first kernel-eligible block through
-            *both* paths and raise :class:`ExecutionError` unless they
-            produce identical array/buffer state and accounting.  The block
-            is executed twice, so the check requires a replayable program:
-            no RNG draws in the body and no buffer apply UDF that mutates
-            state outside the DistArrays (the rewind between runs only
-            restores array and buffer contents).
-        tracer: observability tracer; spans are emitted on the virtual
-            timeline only when it is enabled (default: the shared disabled
-            :data:`~repro.obs.tracer.NULL_TRACER`, zero overhead).
-        metrics: observability metrics registry (default: the shared
-            disabled :data:`~repro.obs.metrics.NULL_METRICS`).
-        trace_process: Perfetto process label for this executor's spans,
-            letting several engines share one trace file side by side.
+        options: the loop's :class:`~repro.runtime.options.LoopOptions`
+            (default: ``LoopOptions()``).  The fields the executor reads:
+
+            * ``pipeline_depth`` — time partitions per worker for
+              unordered 2D (paper Fig. 8 uses 2).
+            * ``balance`` — histogram-balanced partition bounds (vs. equal
+              width).
+            * ``validate`` — record accesses and verify that same-step
+              blocks touch disjoint elements (serializability check; slow,
+              for tests).
+            * ``prefetch`` — ``"auto"`` synthesizes and uses a
+              bulk-prefetch function for server arrays, ``"none"`` models
+              per-access round trips.
+            * ``cache_prefetch`` — cache each block's prefetch indices
+              across epochs (the paper's 9.2 s → 6.3 s step; ``False``
+              models re-running the synthesized function every pass).
+            * ``kernel`` — optional batched kernel
+              ``kernel(block_entries, kctx)`` applying one block's updates
+              with bulk NumPy operations (see
+              :mod:`repro.runtime.kernels`).  Used only when the plan
+              proves block-batched execution legal; the scalar body runs
+              otherwise.
+            * ``equivalence_check`` — execute the first kernel-eligible
+              block through *both* paths and raise
+              :class:`ExecutionError` unless they produce identical
+              array/buffer state and accounting.  The block is executed
+              twice, so the check requires a replayable program: no RNG
+              draws in the body and no buffer apply UDF that mutates state
+              outside the DistArrays (the rewind between runs only
+              restores array and buffer contents).
+            * ``obs`` — tracer + metrics; spans are emitted on the virtual
+              timeline only when the tracer is enabled (default: the
+              disabled singletons, zero overhead).
+            * ``trace_process`` — Perfetto process label for this
+              executor's spans, letting several engines share one trace
+              file side by side.
+            * ``faults`` — the fault-injection plan, if any.
+
+        Same-step blocks run one after another: a linearization of the
+        schedule, fully deterministic.
     """
 
     def __init__(
@@ -329,50 +327,16 @@ class OrionExecutor:
         plan: Plan,
         cluster: ClusterSpec,
         options: Optional[LoopOptions] = None,
-        obs: Optional[Observability] = None,
-        pipeline_depth: Any = UNSET,
-        balance: Any = UNSET,
-        validate: Any = UNSET,
-        prefetch: Any = UNSET,
-        cache_prefetch: Any = UNSET,
-        concurrency: Any = UNSET,
-        kernel: Any = UNSET,
-        equivalence_check: Any = UNSET,
-        tracer: Any = UNSET,
-        metrics: Any = UNSET,
-        trace_process: Any = UNSET,
     ) -> None:
         opts = options if options is not None else LoopOptions()
-        opts = opts.merged_with(
-            pipeline_depth=pipeline_depth,
-            balance=balance,
-            validate=validate,
-            prefetch=prefetch,
-            cache_prefetch=cache_prefetch,
-            concurrency=concurrency,
-            kernel=kernel,
-            equivalence_check=equivalence_check,
-            tracer=tracer,
-            metrics=metrics,
-            trace_process=trace_process,
-        )
-        if obs is not None:
-            opts = opts.merged_with(obs=obs)
         if opts.prefetch not in ("auto", "none"):
             raise ExecutionError(f"unknown prefetch mode {opts.prefetch!r}")
-        if opts.concurrency not in ("serial", "threads"):
-            raise ExecutionError(
-                f"unknown concurrency mode {opts.concurrency!r}"
-            )
-        if opts.backend not in ("simulated", "threaded", "multiprocess"):
-            raise ExecutionError(f"unknown backend {opts.backend!r}")
         if opts.tune not in ("off", "auto", "cached"):
             raise ExecutionError(
                 f"unknown tune mode {opts.tune!r} "
                 "(expected 'off', 'auto' or 'cached')"
             )
         self.options = opts
-        self.concurrency = opts.concurrency
         self.body = body
         self.info = info
         self.plan = plan
@@ -397,10 +361,9 @@ class OrionExecutor:
         #: backend, from worker payloads), drained by `_sanitize_check`.
         self._sanitize_records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
         self._sanitize_values: Optional[Dict[Any, Any]] = None
-        resolved = opts.resolve_obs()
-        self.obs = resolved
-        self.tracer = resolved.tracer
-        self.metrics = resolved.metrics
+        self.obs = opts.obs if opts.obs is not None else Observability.disabled()
+        self.tracer = self.obs.tracer
+        self.metrics = self.obs.metrics
         self.trace_process = opts.trace_process
         self.faults = opts.faults
         #: Unreliable link wrapping the network when the plan drops
@@ -418,10 +381,6 @@ class OrionExecutor:
         #: Per-block caches handed to kernels (index arrays, dependence
         #: levels, memoized accounting) — persist across epochs.
         self._kernel_caches: Dict[Tuple[int, int], Dict[Any, Any]] = {}
-        #: One thread pool per executor, created lazily and reused across
-        #: steps and epochs (a fresh pool per step costs thread spawns on
-        #: every schedule step).
-        self._pool = None
         self._ready = False
         self.partitions: Optional[parts.IterationPartitions] = None
         self.steps: List[List[sched.Task]] = []
@@ -1221,31 +1180,9 @@ class OrionExecutor:
     def _run_step(
         self, step_tasks: List[sched.Task]
     ) -> List[Tuple[sched.Task, _TaskStats]]:
-        """Execute one step's blocks: serially (a linearization) or on a
-        thread pool (genuinely concurrent; safe because a correct plan's
-        same-step blocks touch disjoint elements)."""
-        if self.concurrency == "serial" or len(step_tasks) <= 1:
-            return [(task, self._run_task(task)) for task in step_tasks]
-        if self._pool is None:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.num_workers
-            )
-        stats = list(self._pool.map(self._run_task, step_tasks))
-        return list(zip(step_tasks, stats))
-
-    def close(self) -> None:
-        """Release the persistent thread pool (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Execute one step's blocks one after another (a linearization;
+        a correct plan's same-step blocks touch disjoint elements)."""
+        return [(task, self._run_task(task)) for task in step_tasks]
 
     def _run_task(
         self, task: sched.Task, force_scalar: bool = False
@@ -1282,8 +1219,6 @@ class OrionExecutor:
             else:
                 self._run_scalar(block, task.worker, broker)
         if self.sanitize:
-            # list.extend is atomic under the GIL, so thread-pool tasks
-            # can merge their local records without a lock.
             self._sanitize_records.extend(broker.records)
         stats = broker.stats
         stats.entries = len(block)

@@ -1,24 +1,19 @@
-"""LoopOptions: the consolidated configuration of one parallel for-loop.
+"""LoopOptions: the one configuration object of a parallel for-loop.
 
-``OrionContext.parallel_for`` historically grew 16 keyword arguments; this
-dataclass is their single home (plus the fault-injection and tuning knobs,
-which exist *only* here).  The options-first form is the documented one::
+Every knob of a loop lives here and nowhere else: ``parallel_for``, the
+executor, the app builders and the CLI all take one ``LoopOptions`` and
+merge nothing::
 
     loop = ctx.parallel_for(data, options=LoopOptions(ordered=True))(body)
 
-The bare legacy kwargs still work and override the corresponding
-``LoopOptions`` field (``dataclasses.replace`` semantics), but they now
-emit a :class:`DeprecationWarning`::
-
-    loop = ctx.parallel_for(data, ordered=True)(body)   # deprecated form
-
-See ``docs/api.md`` for the migration guide and ``docs/tuning.md`` for the
-auto-tuner the ``tune`` knob enables.
+Derive a variant with :func:`dataclasses.replace`.  See ``docs/api.md``
+for the API overview and ``docs/tuning.md`` for the auto-tuner the
+``tune`` knob enables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, Union
 
 from repro.obs.observability import Observability
@@ -27,17 +22,14 @@ if TYPE_CHECKING:  # annotation-only: repro.faults imports repro.runtime
     from repro.faults.plan import FaultPlan
     from repro.runtime.checkpoint import CheckpointConfig
 
-__all__ = ["LoopOptions", "UNSET"]
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit None/False.
-UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
+__all__ = ["LoopOptions"]
 
 
 @dataclass
 class LoopOptions:
     """Every knob of one parallel for-loop, in one place.
 
-    Scheduling / execution (the former ``parallel_for`` kwargs):
+    Scheduling / execution:
 
     Attributes:
         ordered: enforce lexicographic iteration order.
@@ -48,15 +40,15 @@ class LoopOptions:
             The executor's ``run_summary()["resolved"]`` reports the
             value actually used, so ``"auto"`` stays introspectable.
         balance: histogram-balanced partitioning of skewed data.
-        validate: run the serializability validator every epoch.
+        validate: run the serializability validator every epoch
+            (simulated backend only; ``sanitize`` is the race check that
+            runs on both backends).
         prefetch: ``"auto"`` or ``"none"``.
         cache_prefetch: cache prefetch indices across epochs.
-        concurrency: ``"serial"`` or ``"threads"``.
         backend: which runtime executes the compiled plan.
             ``"simulated"`` (default) is the deterministic virtual-clock
-            linearization; ``"threaded"`` runs each schedule step's blocks
-            on the executor thread pool; ``"multiprocess"`` runs the plan
-            on forked OS processes over shared-memory partitions
+            linearization; ``"multiprocess"`` runs the plan on forked OS
+            processes over shared-memory partitions
             (:class:`~repro.runtime.distributed.MultiprocessRunner`) and
             reports *real* wall-clock epoch times.
         kernel: batched block kernel selection — a callable (a hand
@@ -75,11 +67,11 @@ class LoopOptions:
             analyzer's dependence claims, buffered-write exemptions or
             prefetch footprint are contradicted.  Forces scalar
             (non-kernel) execution.
-        tracer / metrics: legacy observability pair (prefer ``obs``).
-        obs: bundled :class:`~repro.obs.observability.Observability`.
+        obs: the loop's :class:`~repro.obs.observability.Observability`
+            (tracer + metrics); ``None`` uses the context's.
         trace_process: Perfetto process label for this loop's spans.
 
-    Fault tolerance (new — these knobs live only here):
+    Fault tolerance:
 
     Attributes:
         faults: a :class:`~repro.faults.plan.FaultPlan` of injected
@@ -124,13 +116,10 @@ class LoopOptions:
     validate: bool = False
     prefetch: str = "auto"
     cache_prefetch: bool = True
-    concurrency: str = "serial"
     backend: str = "simulated"
     kernel: Optional[Union[Callable[..., Any], str]] = None
     equivalence_check: bool = False
     sanitize: bool = False
-    tracer: Optional[Any] = None
-    metrics: Optional[Any] = None
     obs: Optional[Observability] = None
     trace_process: str = "orion"
     faults: Optional[FaultPlan] = None
@@ -138,26 +127,3 @@ class LoopOptions:
     run_store: Optional[Any] = None
     run_label: Optional[str] = None
     tune: str = "off"
-
-    def merged_with(self, **overrides: Any) -> "LoopOptions":
-        """A copy with every non-``UNSET`` override applied."""
-        explicit = {
-            key: value for key, value in overrides.items()
-            if value is not UNSET
-        }
-        return replace(self, **explicit) if explicit else self
-
-    def resolve_obs(
-        self, default: Optional[Observability] = None
-    ) -> Observability:
-        """The effective observability pair for this loop.
-
-        Component-wise: explicit ``tracer``/``metrics`` fields win, then
-        the ``obs`` bundle, then ``default`` (the context's pair).
-        """
-        return Observability.resolve(
-            obs=self.obs,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            default=default,
-        )

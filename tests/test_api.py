@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import OrionContext, ParallelLoop
-from repro.errors import AccumulatorError, ParallelizationError
+from repro.errors import AccumulatorError, ExecutionError, ParallelizationError
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 def _ctx(seed=5):
@@ -172,7 +173,7 @@ class TestParallelFor:
             W[:, key[0]] = W[:, key[0]] + 0.1 * H[:, key[1]]
             H[:, key[1]] = H[:, key[1]] * 0.99
 
-        loop = ctx.parallel_for(space, ordered=True)(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(ordered=True))(body)
         assert loop.plan.ordered
 
     def test_buffer_factory(self):
@@ -186,3 +187,52 @@ class TestParallelFor:
     def test_default_cluster_when_none(self):
         ctx = OrionContext()
         assert ctx.cluster.num_workers == 4
+
+
+class TestOneConfigPath:
+    """``LoopOptions`` is the only way to configure a loop; the bare
+    kwarg tails, the merge fields and the threaded backend stay gone."""
+
+    def _space(self, ctx):
+        space = ctx.from_entries(
+            [((i, j), 1.0) for i in range(4) for j in range(4)], shape=(4, 4)
+        )
+        ctx.materialize(space)
+        return space
+
+    def test_parallel_for_rejects_bare_kwargs(self):
+        ctx = _ctx()
+        with pytest.raises(TypeError):
+            ctx.parallel_for(self._space(ctx), ordered=True)
+
+    def test_loop_options_has_no_concurrency(self):
+        with pytest.raises(TypeError):
+            LoopOptions(concurrency="threads")
+
+    def test_loop_options_has_no_tracer(self):
+        from repro.obs import Tracer
+
+        with pytest.raises(TypeError):
+            LoopOptions(tracer=Tracer())
+
+    def test_builder_rejects_bare_kwargs(self):
+        from repro.apps import build_sgd_mf
+        from repro.data import netflix_like
+
+        data = netflix_like(num_rows=12, num_cols=10, num_ratings=60, seed=3)
+        with pytest.raises(TypeError):
+            build_sgd_mf(data, pipeline_depth=2)
+
+    def test_threaded_backend_is_unknown(self):
+        ctx = _ctx()
+        space = self._space(ctx)
+        x = ctx.zeros(4)
+        ctx.materialize(x)
+
+        def body(key, value):
+            x[key[0]] = value
+
+        with pytest.raises(ExecutionError, match="unknown backend"):
+            ctx.parallel_for(
+                space, options=LoopOptions(backend="threaded")
+            )(body)

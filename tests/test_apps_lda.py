@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.strategy import PlacementKind, Strategy
 from repro.apps.lda import LDAApp, LDAHyper, build_orion_program
+from repro.runtime.options import LoopOptions
 
 
 def _count_invariants(doc_topic, word_topic, topic_sum, total_tokens):
@@ -55,7 +56,7 @@ class TestOrionProgram:
             corpus_small,
             cluster=cluster_tiny,
             hyper=LDAHyper(num_topics=4),
-            validate=True,
+            options=LoopOptions(validate=True),
         )
         program.run(2)
 

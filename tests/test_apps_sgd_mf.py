@@ -12,6 +12,7 @@ from repro.apps.sgd_mf import (
     nzsl,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 class TestLossFunction:
@@ -61,9 +62,17 @@ class TestOrionProgram:
 
     def test_validation_clean(self, mf_small, cluster_tiny):
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, validate=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(validate=True)
         )
         program.run(2)  # would raise on a serializability violation
+
+    def test_validation_clean_ordered(self, mf_small, cluster_tiny):
+        program = build_orion_program(
+            mf_small, cluster=cluster_tiny, ordered=True,
+            options=LoopOptions(validate=True),
+        )
+        history = program.run(2)  # would raise on a violation
+        assert len(history.records) == 2
 
     def test_adarev_variant_runs_and_wins_early(self, mf_small, cluster_tiny):
         plain = build_orion_program(

@@ -1,11 +1,12 @@
-"""Backend parity: one compiled plan, three execution engines.
+"""Backend parity: one compiled plan, two execution engines.
 
 The contract of :mod:`repro.runtime.backend`: for dependence-preserving
-plans, ``simulated`` (the virtual-clock oracle), ``threaded`` (in-process
-thread pool) and ``multiprocess`` (forked workers over shared memory)
-produce *bitwise identical* final parameters.  Parametrized across the
+plans, ``simulated`` (the virtual-clock oracle) and ``multiprocess``
+(forked workers over shared memory) produce *bitwise identical* final
+parameters.  Parametrized across the
 four plan shapes — 1D, 2D rotation, data-parallel, and unimodular
-(skewed/interchanged) — plus worker-crash behaviour.
+(skewed/interchanged) — plus whole apps on the multiprocess backend and
+worker-crash behaviour.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.data import netflix_like
 from repro.errors import ExecutionError
 from repro.runtime.backend import BACKENDS
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 def _cluster() -> ClusterSpec:
@@ -36,7 +38,7 @@ def _build_one_d(backend):
     def body(key, value):
         x[key[0]] = x[key[0]] * 0.9 + value
 
-    loop = ctx.parallel_for(space, backend=backend)(body)
+    loop = ctx.parallel_for(space, options=LoopOptions(backend=backend))(body)
     return loop, {"x": x}
 
 
@@ -48,7 +50,7 @@ def _build_two_d(backend):
         cluster=_cluster(),
         hyper=MFHyper(rank=3, step_size=0.05),
         seed=7,
-        backend=backend,
+        options=LoopOptions(backend=backend),
     )
     return program.train_loop, {
         "W": program.arrays["W"],
@@ -76,7 +78,7 @@ def _build_data_parallel(backend):
     def body(key, value):
         y_buf[key[1]] = value * 2.0
 
-    loop = ctx.parallel_for(space, backend=backend)(body)
+    loop = ctx.parallel_for(space, options=LoopOptions(backend=backend))(body)
     return loop, {"y": y}
 
 
@@ -98,7 +100,9 @@ def _build_unimodular(backend):
         diag = grid[key[0] - 1, key[1] - 1]
         grid[key[0], key[1]] = 0.5 * (left + diag)
 
-    loop = ctx.parallel_for(space, ordered=True, backend=backend)(body)
+    loop = ctx.parallel_for(
+        space, options=LoopOptions(ordered=True, backend=backend)
+    )(body)
     return loop, {"grid": grid}
 
 
@@ -140,6 +144,62 @@ class TestBitwiseParity:
             loop.close()
 
 
+class TestAppsOnMultiprocess:
+    """Whole programs (``program.run``, histories) on the real concurrent
+    backend: same-step blocks run in parallel worker processes."""
+
+    def test_mf_program_bitwise_identical(self):
+        data = netflix_like(num_rows=48, num_cols=40, num_ratings=1200, seed=41)
+        cluster = ClusterSpec(num_machines=2, workers_per_machine=2)
+        hyper = MFHyper(rank=4, step_size=0.05)
+        weights = {}
+        for backend in BACKENDS:
+            with build_sgd_mf(
+                data, cluster=cluster, hyper=hyper, seed=3,
+                options=LoopOptions(backend=backend),
+            ) as program:
+                assert program.train_loop.backend.name == backend
+                program.run(3)
+                weights[backend] = (
+                    program.arrays["W"].values.copy(),
+                    program.arrays["H"].values.copy(),
+                )
+        oracle_w, oracle_h = weights["simulated"]
+        real_w, real_h = weights["multiprocess"]
+        assert np.array_equal(oracle_w, real_w)
+        assert np.array_equal(oracle_h, real_h)
+
+    def test_mf_sanitized_clean(self):
+        # validate=True is refused on this backend; sanitize=True is the
+        # race check that runs in the workers.
+        data = netflix_like(num_rows=48, num_cols=40, num_ratings=1200, seed=41)
+        with build_sgd_mf(
+            data,
+            cluster=ClusterSpec(num_machines=2, workers_per_machine=2),
+            hyper=MFHyper(rank=4),
+            options=LoopOptions(backend="multiprocess", sanitize=True),
+        ) as program:
+            history = program.run(2)  # raises SanitizerError on a race
+        assert len(history.records) == 2
+
+    def test_slr_buffered_writes(self):
+        from repro.apps import build_slr
+        from repro.apps.slr import SLRHyper
+        from repro.data import sparse_classification
+
+        dataset = sparse_classification(
+            num_samples=120, num_features=60, nnz_per_sample=5, seed=43
+        )
+        with build_slr(
+            dataset,
+            cluster=ClusterSpec(num_machines=2, workers_per_machine=2),
+            hyper=SLRHyper(step_size=0.2),
+            options=LoopOptions(backend="multiprocess"),
+        ) as program:
+            history = program.run(3)
+        assert history.final_loss < history.meta["initial_loss"]
+
+
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         ctx = OrionContext(cluster=_cluster(), seed=1)
@@ -151,11 +211,10 @@ class TestBackendSelection:
             x[key[0]] = value
 
         with pytest.raises(ExecutionError, match="unknown backend"):
-            ctx.parallel_for(space, backend="gpu")(body)
+            ctx.parallel_for(space, options=LoopOptions(backend="gpu"))(body)
 
     def test_multiprocess_rejects_checkpointing(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointConfig
-        from repro.runtime.options import LoopOptions
 
         data = netflix_like(num_rows=12, num_cols=10, num_ratings=60, seed=3)
         options = LoopOptions(
@@ -163,6 +222,15 @@ class TestBackendSelection:
             checkpoint=CheckpointConfig(directory=str(tmp_path)),
         )
         with pytest.raises(ExecutionError, match="not supported"):
+            build_sgd_mf(data, cluster=_cluster(), seed=7, options=options)
+
+    def test_multiprocess_rejects_validate(self):
+        # Workers run a non-validating broker, so the serializability
+        # check would silently not run; the refusal names the race check
+        # that does run on both backends.
+        data = netflix_like(num_rows=12, num_cols=10, num_ratings=60, seed=3)
+        options = LoopOptions(backend="multiprocess", validate=True)
+        with pytest.raises(ExecutionError, match="sanitize=True"):
             build_sgd_mf(data, cluster=_cluster(), seed=7, options=options)
 
 

@@ -28,6 +28,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resnet"])
 
+    def test_threaded_backend_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mf", "--backend", "threaded"])
+
 
 class TestSingleEngineRuns:
     def test_orion_mf(self):

@@ -27,13 +27,13 @@ def cluster():
     return ClusterSpec(num_machines=2, workers_per_machine=2)
 
 
-def _mf_programs(mf_data, cluster, **kwargs):
+def _mf_programs(mf_data, cluster, ordered=False):
     hyper = MFHyper(rank=4, step_size=0.05)
     simulated = build_sgd_mf(
-        mf_data, cluster=cluster, hyper=hyper, seed=7, **kwargs
+        mf_data, cluster=cluster, hyper=hyper, seed=7, ordered=ordered
     )
     distributed = build_sgd_mf(
-        mf_data, cluster=cluster, hyper=hyper, seed=7, **kwargs
+        mf_data, cluster=cluster, hyper=hyper, seed=7, ordered=ordered
     )
     return simulated, distributed
 

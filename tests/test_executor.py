@@ -10,6 +10,7 @@ from repro.core.distarray import DistArray
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import OrionExecutor, indices_overlap
+from repro.runtime.options import LoopOptions
 
 
 def _cluster(machines=2, workers=2):
@@ -54,7 +55,7 @@ class TestIndicesOverlap:
         assert not indices_overlap((("pt", 1),), (("pt", 1), ("pt", 2)))
 
 
-def _mf_executor(cluster, ordered=False, validate=True, **opts):
+def _mf_executor(cluster, ordered=False, validate=True):
     ratings = _ratings()
     W = DistArray.randn(3, 12, name="W_e", seed=1, scale=0.1).materialize()
     H = DistArray.randn(3, 10, name="H_e", seed=2, scale=0.1).materialize()
@@ -70,7 +71,7 @@ def _mf_executor(cluster, ordered=False, validate=True, **opts):
     info = analyze_loop_body(body, ratings, ordered=ordered)
     plan = choose_plan(info)
     executor = OrionExecutor(
-        body, info, plan, cluster, validate=validate, **opts
+        body, info, plan, cluster, options=LoopOptions(validate=validate)
     )
     return executor, (ratings, W, H)
 
@@ -152,7 +153,7 @@ class TestSerializabilityValidation:
             placements=honest.placements,
         )
         executor = OrionExecutor(
-            body, info, bogus, _cluster(), validate=True
+            body, info, bogus, _cluster(), options=LoopOptions(validate=True),
         )
         with pytest.raises(ExecutionError, match="serializability"):
             executor.run_epoch()
@@ -166,12 +167,14 @@ class TestSerializabilityValidation:
 
         info = analyze_loop_body(body, ratings)
         plan = choose_plan(info)
-        executor = OrionExecutor(body, info, plan, _cluster(), validate=True)
+        executor = OrionExecutor(
+            body, info, plan, _cluster(), options=LoopOptions(validate=True),
+        )
         executor.run_epoch()
 
 
 class TestBuffersInExecution:
-    def _slr_executor(self, cluster, **opts):
+    def _slr_executor(self, cluster, **fields):
         rng = np.random.default_rng(4)
         entries = [
             ((i,), ([(int(rng.integers(0, 30)), 1.0) for _ in range(3)], 1))
@@ -193,7 +196,9 @@ class TestBuffersInExecution:
 
         info = analyze_loop_body(body, samples)
         plan = choose_plan(info)
-        executor = OrionExecutor(body, info, plan, cluster, **opts)
+        executor = OrionExecutor(
+            body, info, plan, cluster, options=LoopOptions(**fields)
+        )
         return executor, weights, buf
 
     def test_buffers_flushed_after_epoch(self):

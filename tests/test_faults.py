@@ -42,7 +42,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.network import RetryPolicy
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -178,34 +178,6 @@ class TestRetryPolicy:
 
 
 class TestLoopOptions:
-    def test_merged_with_applies_only_explicit(self):
-        opts = LoopOptions(ordered=True, pipeline_depth=3)
-        merged = opts.merged_with(ordered=UNSET, validate=True)
-        assert merged.ordered is True
-        assert merged.pipeline_depth == 3
-        assert merged.validate is True
-
-    def test_legacy_kwargs_override_options(self, mf_data, cluster):
-        program = _program(
-            mf_data, cluster,
-            options=LoopOptions(pipeline_depth=2), pipeline_depth=4,
-        )
-        assert program.train_loop.executor.pipeline_depth == 4
-
-    def test_options_equivalent_to_legacy(self, mf_data, cluster):
-        legacy = _program(mf_data, cluster, pipeline_depth=2)
-        bundled = _program(mf_data, cluster,
-                           options=LoopOptions(pipeline_depth=2))
-        assert (
-            legacy.train_loop.executor.pipeline_depth
-            == bundled.train_loop.executor.pipeline_depth
-            == 2
-        )
-        h1 = legacy.run(2)
-        h2 = bundled.run(2)
-        assert [r.loss for r in h1.records] == [r.loss for r in h2.records]
-        assert [r.time_s for r in h1.records] == [r.time_s for r in h2.records]
-
     def test_observability_resolution(self):
         tracer, metrics = Tracer(), MetricsRegistry()
         obs = Observability(tracer=tracer, metrics=metrics)
@@ -340,7 +312,7 @@ class TestOrionFaults:
         ckpt = CheckpointConfig(directory=str(tmp_path), every_n_epochs=1)
         program = _program(
             mf_data, cluster,
-            options=LoopOptions(faults=plan, checkpoint=ckpt), obs=obs,
+            options=LoopOptions(faults=plan, checkpoint=ckpt, obs=obs),
         )
         program.run(3)
         cats = {span.cat for span in obs.tracer.spans}

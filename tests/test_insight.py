@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
+    Observability,
     Tracer,
     attribute_epochs,
     insight_report,
@@ -22,6 +23,7 @@ from repro.obs import (
 )
 from repro.obs.insight import BUSY_CATEGORIES, IDLE_CATEGORIES
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 APPS = ["mf", "mf-adarev", "lda", "lda-1d", "slr", "gbt"]
 
@@ -37,34 +39,35 @@ def _build_program(app, data, cluster, tracer, metrics):
         build_slr,
     )
 
-    obs = {"tracer": tracer, "metrics": metrics}
+    options = LoopOptions(obs=Observability(tracer=tracer, metrics=metrics))
     if app == "mf":
         return build_sgd_mf(
-            data, cluster=cluster, hyper=MFHyper(rank=4), seed=3, **obs
+            data, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
+            options=options,
         )
     if app == "mf-adarev":
         return build_sgd_mf(
             data, cluster=cluster,
             hyper=MFHyper(rank=4, adarev=True, adarev_step=0.15),
-            seed=3, **obs,
+            seed=3, options=options,
         )
     if app == "lda":
         return build_lda(
             data, cluster=cluster, hyper=LDAHyper(num_topics=4), seed=3,
-            parallelism="2d", **obs,
+            parallelism="2d", options=options,
         )
     if app == "lda-1d":
         return build_lda(
             data, cluster=cluster, hyper=LDAHyper(num_topics=4), seed=3,
-            parallelism="1d", **obs,
+            parallelism="1d", options=options,
         )
     if app == "slr":
         return build_slr(
             data, cluster=cluster, hyper=SLRHyper(step_size=0.2), seed=3,
-            **obs,
+            options=options,
         )
     if app == "gbt":
-        return build_gbt(data, cluster=cluster, **obs)
+        return build_gbt(data, cluster=cluster, options=options)
     raise AssertionError(app)
 
 

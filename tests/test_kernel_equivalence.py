@@ -23,6 +23,7 @@ from repro.data.synthetic import lda_corpus, netflix_like, sparse_classification
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import ExecutionError
 from repro.runtime.kernels import conflict_free_groups_nd, conflict_free_levels
+from repro.runtime.options import LoopOptions
 
 
 def _epoch_signature(results):
@@ -71,7 +72,7 @@ class TestSGDMFKernel:
                 ordered=ordered,
                 seed=7,
                 use_kernel=use_kernel,
-                validate=True,
+                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -90,8 +91,7 @@ class TestSLRKernel:
                 hyper=SLRHyper(step_size=0.2),
                 seed=3,
                 use_kernel=use_kernel,
-                prefetch=prefetch,
-                validate=True,
+                options=LoopOptions(prefetch=prefetch, validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -107,7 +107,7 @@ class TestSLRKernel:
                 hyper=SLRHyper(adarev=True),
                 seed=3,
                 use_kernel=use_kernel,
-                validate=True,
+                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -127,7 +127,7 @@ class TestLDAKernel:
                 parallelism=parallelism,
                 seed=5,
                 use_kernel=use_kernel,
-                validate=True,
+                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build, epochs=2)
@@ -144,13 +144,15 @@ class TestLDAKernel:
 class TestEquivalenceCheckMode:
     def test_mf_passes(self, mf_data):
         prog = build_mf(
-            mf_data, seed=7, use_kernel=True, validate=True, equivalence_check=True
+            mf_data, seed=7, use_kernel=True,
+            options=LoopOptions(validate=True, equivalence_check=True),
         )
         prog.epoch_fn()  # would raise ExecutionError on any divergence
 
     def test_slr_passes(self, slr_data):
         prog = build_slr(
-            slr_data, seed=3, use_kernel=True, validate=True, equivalence_check=True
+            slr_data, seed=3, use_kernel=True,
+            options=LoopOptions(validate=True, equivalence_check=True),
         )
         prog.epoch_fn()
 
@@ -176,7 +178,9 @@ class TestEquivalenceCheckMode:
                     kctx.buffer_add(buf, [fid], [-0.2 * fval])  # wrong scale
                 kctx.account_point_reads(weights, [])
 
-        loop = ctx.parallel_for(samples, kernel=bad_kernel, equivalence_check=True)(
+        loop = ctx.parallel_for(
+            samples, options=LoopOptions(kernel=bad_kernel, equivalence_check=True),
+        )(
             body
         )
         with pytest.raises(ExecutionError, match="kernel/scalar"):

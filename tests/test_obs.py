@@ -16,6 +16,7 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
+    Observability,
     Tracer,
     add_traffic_spans,
     chrome_trace_events,
@@ -27,6 +28,7 @@ from repro.obs import (
 )
 from repro.runtime.history import EpochRecord, RunHistory
 from repro.runtime.network import TrafficLog
+from repro.runtime.options import LoopOptions
 
 
 class TestTracer:
@@ -299,7 +301,7 @@ def traced_mf(mf_small):
     metrics = MetricsRegistry()
     program = build_sgd_mf(
         mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-        tracer=tracer, metrics=metrics,
+        options=LoopOptions(obs=Observability(tracer=tracer, metrics=metrics)),
     )
     history = program.run(2)
     return history, tracer, metrics, cluster
@@ -386,16 +388,16 @@ class TestEndToEndTracing:
         from repro.apps import MFHyper, build_sgd_mf
         from repro.runtime.cluster import ClusterSpec
 
-        def run(**obs):
+        def run(obs=None):
             cluster = ClusterSpec(num_machines=2, workers_per_machine=2)
             program = build_sgd_mf(
                 mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-                **obs,
+                options=LoopOptions(obs=obs),
             )
             return program.run(3)
 
         plain = run()
-        traced = run(tracer=Tracer(), metrics=MetricsRegistry())
+        traced = run(Observability(tracer=Tracer(), metrics=MetricsRegistry()))
         assert [r.loss for r in plain.records] \
             == [r.loss for r in traced.records]
         assert [r.time_s for r in plain.records] \
@@ -451,7 +453,10 @@ class TestWallClockTraceRoundTrip:
         cluster = ClusterSpec(num_machines=1, workers_per_machine=2)
         program = build_sgd_mf(
             mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-            tracer=tracer, metrics=metrics, backend="multiprocess",
+            options=LoopOptions(
+                obs=Observability(tracer=tracer, metrics=metrics),
+                backend="multiprocess",
+            ),
         )
         try:
             program.run(2)

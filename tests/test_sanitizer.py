@@ -36,7 +36,7 @@ def _space(ctx, n=8):
     return space
 
 
-def _aliased_loop(ctx, **loop_kwargs):
+def _aliased_loop(ctx, options=None):
     """A loop whose loop-carried dependence hides behind an alias.
 
     ``reads`` and ``writes`` are the same DistArray under two names:
@@ -52,7 +52,7 @@ def _aliased_loop(ctx, **loop_kwargs):
     def body(key, value):
         writes[key[0] + 1] = reads[key[0]] + value
 
-    return ctx.parallel_for(space, **loop_kwargs)(body)
+    return ctx.parallel_for(space, options=options)(body)
 
 
 class TestPlantedMissedDependence:
@@ -69,7 +69,7 @@ class TestPlantedMissedDependence:
 
     def test_sanitize_catches_s601_simulated(self):
         ctx = _ctx()
-        loop = _aliased_loop(ctx, sanitize=True)
+        loop = _aliased_loop(ctx, LoopOptions(sanitize=True))
         with pytest.raises(SanitizerError) as excinfo:
             loop.run()
         codes = [d.code for d in excinfo.value.diagnostics]
@@ -83,7 +83,7 @@ class TestPlantedMissedDependence:
     def test_sanitize_catches_s601_multiprocess(self):
         ctx = _ctx()
         loop = _aliased_loop(
-            ctx, options=LoopOptions(sanitize=True, backend="multiprocess")
+            ctx, LoopOptions(sanitize=True, backend="multiprocess")
         )
         try:
             with pytest.raises(SanitizerError) as excinfo:
@@ -230,7 +230,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.sgd_mf import build_orion_program
 
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, sanitize=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True),
         )
         history = program.run(1)
         assert len(history.records) == 1
@@ -241,7 +241,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.slr import build_orion_program
 
         program = build_orion_program(
-            slr_small, cluster=cluster_tiny, sanitize=True
+            slr_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True),
         )
         history = program.run(1)
         assert len(history.records) == 1
@@ -250,7 +250,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.sgd_mf import build_orion_program
 
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, sanitize=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True),
         )
         history = program.run(1)
         assert history.meta.get("kernel_path") is False

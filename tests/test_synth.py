@@ -41,53 +41,54 @@ from repro.core.distarray import DistArray
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import ExecutionError, kernel_batching_legal
 from repro.runtime.kernels import conflict_free_groups_nd, scalar_pow
+from repro.runtime.options import LoopOptions
 
 
 # --------------------------------------------------------------------------- #
-# app registry: builder(cluster, use_kernel, **loop_opts) -> program
+# app registry: builder(cluster, use_kernel, options) -> program
 # --------------------------------------------------------------------------- #
 
 
-def _mf(cluster, use_kernel, **opts):
+def _mf(cluster, use_kernel, options=None):
     data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
-    return build_sgd_mf(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_sgd_mf(data, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
-def _mf_adarev(cluster, use_kernel, **opts):
+def _mf_adarev(cluster, use_kernel, options=None):
     data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
     return build_sgd_mf(
         data, cluster=cluster, hyper=MFHyper(adarev=True),
-        use_kernel=use_kernel, **opts,
+        use_kernel=use_kernel, options=options,
     )
 
 
-def _glove(cluster, use_kernel, **opts):
+def _glove(cluster, use_kernel, options=None):
     data = cooccurrence_corpus(vocab_size=36, num_tokens=1400, seed=6)
-    return build_glove(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_glove(data, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
-def _slr(cluster, use_kernel, **opts):
+def _slr(cluster, use_kernel, options=None):
     data = sparse_classification(
         num_samples=110, num_features=70, nnz_per_sample=6, seed=7
     )
-    return build_slr(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_slr(data, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
-def _gbt(cluster, use_kernel, **opts):
+def _gbt(cluster, use_kernel, options=None):
     data = regression_table(num_samples=110, num_features=4, seed=8)
-    return build_gbt(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_gbt(data, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
-def _lda(cluster, use_kernel, **opts):
+def _lda(cluster, use_kernel, options=None):
     data = lda_corpus(
         num_docs=18, vocab_size=30, num_topics=4, doc_length=10, seed=9
     )
-    return build_lda(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_lda(data, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
-def _mlp(cluster, use_kernel, **opts):
+def _mlp(cluster, use_kernel, options=None):
     data = make_blobs(num_samples=90, num_features=5, num_classes=3, seed=10)
-    return build_mlp(data, 5, 3, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_mlp(data, 5, 3, cluster=cluster, use_kernel=use_kernel, options=options)
 
 
 APPS = {
@@ -188,8 +189,9 @@ class TestAutoMatchesScalar:
         "app", ["glove", "lda", "mf", "mf-adarev", "mlp", "slr"]
     )
     def test_multiprocess(self, app):
-        scalar = APPS[app](_cluster(), False, backend="multiprocess")
-        auto = APPS[app](_cluster(), "auto", backend="multiprocess")
+        options = LoopOptions(backend="multiprocess")
+        scalar = APPS[app](_cluster(), False, options)
+        auto = APPS[app](_cluster(), "auto", options)
         with scalar, auto:  # releases forked workers + shared memory
             scalar.epoch_fn()
             auto.epoch_fn()
@@ -199,21 +201,25 @@ class TestAutoMatchesScalar:
         """GBT's round interleaves three loops over shared arrays; the
         shared-memory pool raises rather than splitting forked workers
         across stale segments."""
-        program = _gbt(_cluster(), "auto", backend="multiprocess")
+        program = _gbt(_cluster(), "auto", LoopOptions(backend="multiprocess"))
         with program, pytest.raises(ExecutionError, match="already shared"):
             program.epoch_fn()
 
     @pytest.mark.parametrize("app", ["mf", "glove", "slr", "gbt"])
     def test_equivalence_checked_epoch(self, app):
         """The executor's own bitwise check passes over synthesized kernels."""
-        program = APPS[app](_cluster(), "auto", equivalence_check=True)
+        program = APPS[app](
+            _cluster(), "auto", LoopOptions(equivalence_check=True)
+        )
         program.epoch_fn()
 
     @pytest.mark.parametrize("app", ["mf", "slr"])
     @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
     def test_sanitized_run_clean(self, app, backend):
         """Sanitized runs (S601-S604) stay clean with kernel='auto'."""
-        program = APPS[app](_cluster(), "auto", sanitize=True, backend=backend)
+        program = APPS[app](
+            _cluster(), "auto", LoopOptions(sanitize=True, backend=backend)
+        )
         with program:
             program.epoch_fn()
 
@@ -265,7 +271,7 @@ def test_property_synthesis_never_changes_results(instance):
             W[:, key[0]] = w + step * diff * h
             H[:, key[1]] = h + step * diff * w
 
-        loop = ctx.parallel_for(space, kernel=kernel)(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(kernel=kernel))(body)
         return loop, W, H
 
     scalar_loop, sw, sh = build(None)
@@ -317,7 +323,7 @@ class TestReporting:
         def body(key, value):
             out[key[0]] = value * 2.0
 
-        loop = ctx.parallel_for(space, kernel="auto")(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(kernel="auto"))(body)
         assert loop.synthesis().engaged
         assert "W503" in {d.code for d in loop.diagnostics()}
         # The plan gate is the reason, not the synthesis itself.
@@ -368,9 +374,9 @@ class TestOptionPlumbing:
             pass
 
         with pytest.raises(ExecutionError):
-            ctx.parallel_for(space, kernel="hand")(body)
+            ctx.parallel_for(space, options=LoopOptions(kernel="hand"))(body)
         with pytest.raises(ExecutionError):
-            ctx.parallel_for(space, kernel="bogus")(body)
+            ctx.parallel_for(space, options=LoopOptions(kernel="bogus"))(body)
 
     def test_kernel_off_string(self):
         ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
@@ -382,7 +388,7 @@ class TestOptionPlumbing:
         def body(key, value):
             pass
 
-        loop = ctx.parallel_for(space, kernel="off")(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(kernel="off"))(body)
         assert loop.executor.kernel is None
 
 

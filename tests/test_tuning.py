@@ -13,8 +13,6 @@ Contract under test:
   the best fixed configuration by epoch 3 on the virtual clock;
 * ``pipeline_depth="auto"`` resolves to a concrete depth surfaced by
   ``run_summary()``;
-* the legacy bare-kwarg tail of ``parallel_for`` warns, options-first
-  calls do not;
 * ``repro perf`` grouping keeps tuned runs from aliasing untuned
   baselines.
 """
@@ -27,7 +25,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.api import OrionContext
 from repro.apps import MFHyper, build_sgd_mf
 from repro.apps.sgd_mf import mf_cost_model
 from repro.data import netflix_like
@@ -95,11 +92,12 @@ def test_tune_off_never_imports_tuning_package(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("backend", ["simulated", "threaded", "multiprocess"])
+@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
 def test_tune_auto_bit_identical_to_off(mf_data, tmp_path, backend):
     """Whatever the tuner does, final parameters match the untuned run
-    bitwise — on the virtual-clock backends (model-scan re-tiling) and
-    the real-clock multiprocess backend (hill-climb) alike."""
+    bitwise — on the virtual-clock simulated backend (model-scan
+    re-tiling) and the real-clock multiprocess backend (hill-climb)
+    alike."""
     tuned = _tuned_program(mf_data, "auto", str(tmp_path), backend=backend)
     tuned.train_loop.run(3)
     untuned = _tuned_program(mf_data, "off", None, backend=backend)
@@ -292,48 +290,19 @@ def test_pipeline_depth_auto_resolves(mf_data):
 
 
 # ---------------------------------------------------------------------------
-# the options-first API deprecation
-
-
-def test_legacy_kwargs_warn_options_do_not(mf_small):
-    ctx = OrionContext(
-        cluster=ClusterSpec(num_machines=1, workers_per_machine=2), seed=1
-    )
-    space = ctx.from_entries(
-        mf_small.entries, name="warn_space", shape=mf_small.shape
-    )
-    ctx.materialize(space)
-    W = ctx.randn(2, mf_small.shape[0], name="warn_W")
-    H = ctx.randn(2, mf_small.shape[1], name="warn_H")
-    ctx.materialize(W, H)
-
-    def body(key, rating):
-        w = W[:, key[0]]
-        h = H[:, key[1]]
-        e = rating - float(np.dot(w, h))
-        W[:, key[0]] = w + 0.01 * e * h
-        H[:, key[1]] = h + 0.01 * e * w
-
-    with pytest.warns(DeprecationWarning, match="pipeline_depth"):
-        ctx.parallel_for(space, pipeline_depth=2)(body)
-
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        ctx.parallel_for(space, options=LoopOptions(pipeline_depth=2))(body)
+# the options-first API
 
 
 def test_app_builders_are_warning_free(mf_data, tmp_path):
-    """The migrated builders reach parallel_for options-first even when
-    driven through legacy-style builder kwargs."""
+    """The builders reach parallel_for with one options object and emit
+    no deprecation warnings."""
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         build_sgd_mf(
             mf_data, cluster=_cluster(), hyper=HYPER,
-            pipeline_depth=2, run_store=str(tmp_path),
+            options=LoopOptions(pipeline_depth=2, run_store=str(tmp_path)),
         )
 
 
