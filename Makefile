@@ -66,7 +66,8 @@ lint-smoke:
 ## Shadow-access race detection over one mini-epoch of each strategy:
 ## 2D unordered (mf), 2D ordered (mf --engine orion-ordered), 1D (lda-1d),
 ## data parallelism (slr), multi-loop (gbt) — simulated backend — plus a
-## multiprocess spot check. Any S6xx violation fails the run.
+## multiprocess spot check and the ordered unimodular wavefront example
+## (three sanitized epochs). Any S6xx violation fails the run.
 sanitize-smoke:
 	@for app in mf lda-1d slr gbt; do \
 		$(PYTHON) -m repro.cli $$app --sanitize --epochs 1 \
@@ -79,6 +80,8 @@ sanitize-smoke:
 	$(PYTHON) -m repro.cli mf --sanitize --backend multiprocess \
 		--epochs 1 --scale 0.3 > /dev/null
 	@echo "sanitize mf (multiprocess) ok"
+	$(PYTHON) examples/wavefront_smoothing.py > /dev/null
+	@echo "sanitize wavefront (unimodular) ok"
 	@echo "sanitize-smoke ok"
 
 ## Kernel synthesis over every bundled app: the batchable bodies

@@ -43,8 +43,11 @@ def smooth(key, _value):
 
 
 # The dependences require lexicographic order: this loop is `ordered`.
+# Sanitize mode checks every epoch that the run honours the plan: each
+# dependence is reported (S601) and the blocks one wavefront step runs
+# concurrently touch disjoint cells (S605).
 loop = ctx.parallel_for(
-    cells, options=LoopOptions(ordered=True, validate=True)
+    cells, options=LoopOptions(ordered=True, sanitize=True)
 )(smooth)
 print(loop.explain())
 

@@ -60,6 +60,7 @@ CODES = {
     "S602": "kernel conflict group is not conflict-free",
     "S603": "buffered write aliases a directly-written element",
     "S604": "access outside the prefetch footprint",
+    "S605": "same-step blocks touch a common element",
 }
 
 

@@ -22,7 +22,7 @@ Two synthesis tiers are tried in order:
   to the interpreter.
 * **block-loop** — for bodies with inner loops, branches, or buffered
   writes (SLR, ...).  The original statements are kept, but DistArray
-  subscripts become direct dense-array accesses with per-site accounting
+  subscripts become direct dense-array accesses with per-read-site accounting
   lists, and buffered writes collect into one ordered
   :meth:`~repro.runtime.kernels.KernelContext.buffer_add` per buffer —
   removing the per-element broker dispatch that dominates scalar runs.
@@ -64,7 +64,7 @@ _RESERVED_NAMES = {
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
-    "_s_", "_nd_", "_ix", "_rd", "_wr", "_bi_", "_bv_",
+    "_s_", "_nd_", "_ix", "_rd", "_bi_", "_bv_",
     "_k0", "_k1", "_k2", "_k3", "_g0", "_g1", "_g2", "_g3",
     "_t0", "_t1", "_t2", "_t3", "_t4", "_t5", "_t6", "_t7", "_t8", "_t9",
     "_v_", "_vv", "_pt",
@@ -631,7 +631,7 @@ class _Vectorizer:
         return "\n".join(lines) + "\n"
 
     def _accounting(self, need_pt: Dict[Tuple, str]) -> List[str]:
-        """One ``account_*`` declaration per static reference site."""
+        """One ``account_*`` read declaration per static read site."""
         out: List[str] = []
         for name, refs in self.info.refs.items():
             for ref in refs:
@@ -641,22 +641,22 @@ class _Vectorizer:
                         "W501",
                         f"accounting mismatch for {name!r} (untranslated site)",
                     )
+                if ref.is_write:
+                    continue
                 kinds = tuple(a[0] for a in pattern)
-                verb = "writes" if ref.is_write else "reads"
                 if kinds == (SubscriptKind.SLICE_ALL, SubscriptKind.INDEX):
                     idx = self._kidx(pattern[1][1], pattern[1][2])
-                    out.append(f"    kctx.account_col_{verb}({name}, {idx})")
+                    out.append(f"    kctx.account_col_reads({name}, {idx})")
                 elif kinds == (SubscriptKind.INDEX, SubscriptKind.SLICE_ALL):
                     idx = self._kidx(pattern[0][1], pattern[0][2])
-                    out.append(f"    kctx.account_row_{verb}({name}, {idx})")
+                    out.append(f"    kctx.account_row_reads({name}, {idx})")
                 elif len(pattern) == 1:
                     idx = self._kidx(pattern[0][1], pattern[0][2])
-                    out.append(f"    kctx.account_point_{verb}({name}, {idx})")
+                    out.append(f"    kctx.account_point_reads({name}, {idx})")
                 else:
                     key = tuple((a[1], a[2]) for a in pattern)
                     pt_name = need_pt.setdefault(key, f"_pt{len(need_pt)}")
-                    method = "account_writes" if ref.is_write else "account_reads"
-                    out.append(f"    kctx.{method}({name}, {pt_name})")
+                    out.append(f"    kctx.account_reads({name}, {pt_name})")
         return out
 
     def _replay_lines(self) -> List[str]:
@@ -721,7 +721,8 @@ class _BlockLoop:
         self.info = info
         self.env = env
         self.tainted: Set[str] = set()
-        self.sites: List[Tuple[str, str, bool]] = []  # (list name, array, write)
+        self.sites: List[Tuple[str, str]] = []  # read sites: (list name, array)
+        self.touched: Set[str] = set()  # arrays read or written
         self._counter = 0
 
     # -------- taint analysis ---------------------------------------------- #
@@ -926,7 +927,8 @@ class _BlockLoop:
                     )
                 site = outer._new_id()
                 list_name = f"_rd{site}"
-                outer.sites.append((list_name, array_name, False))
+                outer.sites.append((list_name, array_name))
+                outer.touched.add(array_name)
                 pre.append(f"_ix{site} = {outer._index_source(node_)}")
                 pre.append(f"{list_name}.append(_ix{site})")
                 return ast.copy_location(
@@ -1045,9 +1047,7 @@ class _BlockLoop:
         out.append(indent + f"_v{n} = {value_src}")
         out.append(indent + f"_ix{n} = {self._index_source(target)}")
         if array_name is not None:
-            list_name = f"_wr{n}"
-            self.sites.append((list_name, array_name, True))
-            out.append(indent + f"{list_name}.append(_ix{n})")
+            self.touched.add(array_name)
             out.append(indent + f"_nd_{array_name}[_ix{n}] = _v{n}")
         else:
             out.append(indent + f"_bi_{buffer_name}.append(_ix{n})")
@@ -1091,12 +1091,11 @@ class _BlockLoop:
                 target,
             )
         n = self._new_id()
-        read_list, write_list = f"_rd{n}", f"_wr{n}"
-        self.sites.append((read_list, array_name, False))
-        self.sites.append((write_list, array_name, True))
+        read_list = f"_rd{n}"
+        self.sites.append((read_list, array_name))
+        self.touched.add(array_name)
         out.append(indent + f"_ix{n} = {self._index_source(target)}")
         out.append(indent + f"{read_list}.append(_ix{n})")
-        out.append(indent + f"{write_list}.append(_ix{n})")
         out.extend(indent + line for line in pre)
         out.append(indent + f"_nd_{array_name}[_ix{n}] {sym}= {value_src}")
 
@@ -1120,10 +1119,9 @@ class _BlockLoop:
             body_lines.append("        pass")
 
         lines: List[str] = ["def _synth_kernel(block, kctx):"]
-        touched = sorted({array for _lst, array, _w in self.sites})
-        for name in touched:
+        for name in sorted(self.touched):
             lines.append(f"    _nd_{name} = {name}.values")
-        for list_name, _array, _write in self.sites:
+        for list_name, _array in self.sites:
             lines.append(f"    {list_name} = []")
         for buffer_name in info.buffers:
             lines.append(f"    _bi_{buffer_name} = []")
@@ -1131,9 +1129,8 @@ class _BlockLoop:
         value_param = info.value_param if info.value_param else "_unused_value"
         lines.append(f"    for {info.index_param}, {value_param} in block:")
         lines.extend(body_lines)
-        for list_name, array, write in self.sites:
-            method = "account_writes" if write else "account_reads"
-            lines.append(f"    kctx.{method}({array}, {list_name})")
+        for list_name, array in self.sites:
+            lines.append(f"    kctx.account_reads({array}, {list_name})")
         for buffer_name in info.buffers:
             lines.append(
                 f"    kctx.buffer_add({buffer_name}, "

@@ -87,22 +87,16 @@ class ParallelLoop:
         self._epoch = 0
         self._recovery: Optional[RecoveryManager] = None
         opts = self.options
-        if opts.backend == "multiprocess":
+        if opts.backend == "multiprocess" and (
+            opts.faults is not None or opts.checkpoint is not None
+        ):
             from repro.errors import ExecutionError
 
-            if opts.faults is not None or opts.checkpoint is not None:
-                raise ExecutionError(
-                    "fault injection and checkpointing model virtual-clock "
-                    "crashes; they are not supported on the multiprocess "
-                    "backend (run them on backend='simulated')"
-                )
-            if opts.validate:
-                raise ExecutionError(
-                    "validate=True is not supported on the multiprocess "
-                    "backend (its workers do not record accesses); use "
-                    "sanitize=True, the race check that runs on both "
-                    "backends"
-                )
+            raise ExecutionError(
+                "fault injection and checkpointing model virtual-clock "
+                "crashes; they are not supported on the multiprocess "
+                "backend (run them on backend='simulated')"
+            )
         #: The adaptive tuner (``tune="auto"|"cached"``); ``None`` keeps
         #: the default path free of even the import.
         self._tuner: Optional["AdaptiveTuner"] = None

@@ -287,9 +287,6 @@ def build_orion_program(
             kctx.account_row_reads(doc_topic, docs)
             kctx.account_row_reads(word_topic, words)
             kctx.account_full_reads(topic_sum, len(keys))
-            kctx.account_row_writes(doc_topic, docs)
-            kctx.account_row_writes(word_topic, words)
-            kctx.account_point_writes(assignments, keys)
     else:
         # 1D over documents: doc-topic counts stay dependence-preserved
         # (pinned by key[0]); word-topic updates are buffered — an extra,
@@ -421,8 +418,6 @@ def build_orion_program(
             kctx.account_row_reads(doc_topic, docs)
             kctx.account_row_reads(word_topic, words)
             kctx.account_full_reads(topic_sum, len(keys))
-            kctx.account_row_writes(doc_topic, docs)
-            kctx.account_point_writes(assignments, keys)
 
     kernel_opt = resolve_kernel_option(use_kernel, kernel)
     loop = ctx.parallel_for(

@@ -227,10 +227,8 @@ def build_orion_program(
                 Hd[:, c] = H_g - ada_step * h_grads / np.sqrt(hn2)
             for array in (W, Wn2, Wz):
                 kctx.account_col_reads(array, rows)
-                kctx.account_col_writes(array, rows)
             for array in (H, Hn2, Hz):
                 kctx.account_col_reads(array, cols)
-                kctx.account_col_writes(array, cols)
     else:
 
         def body(key, rating):
@@ -273,9 +271,7 @@ def build_orion_program(
                 Hd[:, c] = H_g + coeff * W_new
                 Wd[:, r] = W_new
             kctx.account_col_reads(W, rows)
-            kctx.account_col_writes(W, rows)
             kctx.account_col_reads(H, cols)
-            kctx.account_col_writes(H, cols)
 
     base_opts = options or LoopOptions()
     kernel_opt = resolve_kernel_option(use_kernel, kernel)

@@ -5,8 +5,8 @@ driver-side storage.  While the distributed executor runs a loop body on
 behalf of a simulated worker, it installs an :class:`AccessBroker` so the
 same array objects route element access through the worker's view — which
 is how the runtime implements locality accounting, parameter-server access
-counting, and (in validation mode) the serializability check that iterations
-claimed concurrent touch disjoint elements.
+counting, and (in sanitize mode) the shadow-access records the race
+detector checks (:mod:`repro.sanitizer`).
 
 The broker is installed via a context variable, so nested/parallel use in
 tests stays isolated.

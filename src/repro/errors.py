@@ -56,8 +56,9 @@ class PartitionError(ReproError):
 
 class ExecutionError(ReproError):
     """The distributed executor hit an inconsistent state at run time (e.g. a
-    worker accessed an element outside its assigned partition in validation
-    mode, or the schedule referenced an unknown partition)."""
+    refused retune, a dead worker, or a kernel that failed its
+    equivalence check); sanitize mode's race reports subclass it as
+    :class:`~repro.sanitizer.SanitizerError`."""
 
 
 class CheckpointError(ReproError):

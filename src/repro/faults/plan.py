@@ -12,6 +12,7 @@ when instrumentation changes the query order.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -136,14 +137,17 @@ def stable_uniform(*parts) -> float:
 
     Mixes each part (ints, floats, strings) through splitmix64; there is
     no hidden stream position, so the same key always yields the same
-    draw regardless of query order.
+    draw regardless of query order — and of the process: strings go
+    through a fixed digest, not ``hash()``, which ``PYTHONHASHSEED``
+    salts per process.
     """
     state = 0
     for part in parts:
         if isinstance(part, float):
-            part = hash(part)
+            part = hash(part)  # numeric hashes are not salted
         elif isinstance(part, str):
-            part = hash(part) & 0xFFFFFFFFFFFFFFFF
+            digest = hashlib.blake2b(part.encode(), digest_size=8).digest()
+            part = int.from_bytes(digest, "little")
         state = _splitmix64(state ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
     return state / 2.0 ** 64
 

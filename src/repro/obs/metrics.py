@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` is a flat namespace of named instruments the
 runtime increments as it executes: entries processed, bytes moved by
 traffic kind, prefetch cache hits, kernel-vs-scalar path counts,
-serializability-validator checks.  Like the tracer, a disabled registry
+sanitizer checks.  Like the tracer, a disabled registry
 (:data:`NULL_METRICS`) costs one attribute check per update — instrument
 handles it returns are shared no-op objects.
 

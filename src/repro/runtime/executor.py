@@ -8,8 +8,8 @@ analyzed loop and runs epochs over the simulated cluster:
   plans;
 * executes the *real* loop body for every iteration, in an order that is a
   linearization of the schedule — so results are serializable by
-  construction, and a validation mode double-checks that blocks the
-  schedule claims concurrent touch disjoint elements;
+  construction, and sanitize mode (:mod:`repro.sanitizer`) double-checks
+  that blocks the schedule claims concurrent touch disjoint elements;
 * charges virtual time per block (compute + prefetch + buffer flush) and
   feeds the schedule's timing model (pipelined rotation, wavefront, or 1D
   barrier) to obtain the epoch makespan;
@@ -19,7 +19,6 @@ analyzed loop and runs epochs over the simulated cluster:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -35,52 +34,25 @@ from repro.obs.observability import Observability
 from repro.runtime import partition as parts
 from repro.runtime import schedule as sched
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.kernels import KernelContext, normalize_index
+from repro.runtime.kernels import KernelContext
 from repro.runtime.options import LoopOptions
 from repro.runtime.pserver import PrefetchManager, index_nbytes
+from repro.sanitizer import (
+    AccessRecord,
+    RecordingBroker,
+    SanitizerError,
+    check_epoch,
+)
 
 __all__ = [
     "EpochResult",
     "OrionExecutor",
-    "indices_overlap",
     "kernel_batching_legal",
 ]
 
 
 # --------------------------------------------------------------------- #
-# Index normalization and overlap (for the serializability validator)    #
-# --------------------------------------------------------------------- #
-
-#: Canonical implementation lives in :mod:`repro.runtime.kernels` so the
-#: kernel fast path can record the same normal form without an import cycle.
-_normalize_index = normalize_index
-
-
-def _axis_overlap(a: Any, b: Any) -> bool:
-    if a[0] == "pt" and b[0] == "pt":
-        return a[1] == b[1]
-    if a[0] == "pt":
-        a, b = b, a
-    if b[0] == "pt":
-        lo = a[1] if a[1] is not None else -np.inf
-        hi = a[2] if a[2] is not None else np.inf
-        return lo <= b[1] < hi
-    a_lo = a[1] if a[1] is not None else -np.inf
-    a_hi = a[2] if a[2] is not None else np.inf
-    b_lo = b[1] if b[1] is not None else -np.inf
-    b_hi = b[2] if b[2] is not None else np.inf
-    return a_lo < b_hi and b_lo < a_hi
-
-
-def indices_overlap(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
-    """Whether two normalized indices can address a common element."""
-    if len(a) != len(b):
-        return False
-    return all(_axis_overlap(x, y) for x, y in zip(a, b))
-
-
-# --------------------------------------------------------------------- #
-# Access broker: accounting + optional validation                        #
+# Access broker: server-traffic accounting                               #
 # --------------------------------------------------------------------- #
 
 @dataclass
@@ -89,41 +61,24 @@ class _TaskStats:
     server_reads: int = 0
     server_read_bytes: float = 0.0
     flush_bytes: float = 0.0
-    accesses: List[Tuple[str, Tuple[Any, ...], bool]] = field(default_factory=list)
 
 
 class _AccountingBroker(access.AccessBroker):
-    """Counts server-array traffic and, in validation mode, records every
-    touched index for the post-epoch serializability check.
+    """Counts server-array traffic.
 
     One instance is created per task, so tasks never share mutable
     accounting state.
     """
 
-    def __init__(self, server_ids: Set[int], validate: bool) -> None:
+    def __init__(self, server_ids: Set[int]) -> None:
         self.server_ids = server_ids
-        self.validate = validate
         self.stats = _TaskStats()
 
     def read(self, array: DistArray, index: Any) -> Any:
         if id(array) in self.server_ids:
             self.stats.server_reads += 1
             self.stats.server_read_bytes += index_nbytes(array, index)
-        if self.validate:
-            self.stats.accesses.append(
-                (array.name, _normalize_index(index), False)
-            )
         return array.direct_get(index)
-
-    def write(self, array: DistArray, index: Any, value: Any) -> None:
-        if self.validate:
-            self.stats.accesses.append(
-                (array.name, _normalize_index(index), True)
-            )
-        array.direct_set(index, value)
-
-    def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
-        buffer.direct_buffer_write(index, value)
 
     # ---- bulk hooks (batched-kernel fast path) ------------------------ #
 
@@ -133,56 +88,10 @@ class _AccountingBroker(access.AccessBroker):
             self.stats.server_read_bytes += sum(
                 index_nbytes(array, index) for index in indices
             )
-        if self.validate:
-            name = array.name
-            self.stats.accesses.extend(
-                (name, _normalize_index(index), False) for index in indices
-            )
         return array.bulk_get(indices)
 
     def bulk_write(self, array: DistArray, indices: Any, values: Any) -> None:
-        if self.validate:
-            name = array.name
-            self.stats.accesses.extend(
-                (name, _normalize_index(index), True) for index in indices
-            )
         array.bulk_set(indices, values)
-
-    def bulk_buffer_write(self, buffer: Any, indices: Any, values: Any) -> None:
-        buffer.direct_buffer_write_many(indices, values)
-
-
-class _SanitizingBroker(_AccountingBroker):
-    """Accounting broker that additionally logs each element access with
-    the iteration key that performed it, feeding the sanitizer's
-    epoch-boundary cross-check (:mod:`repro.sanitizer`).
-
-    ``_run_scalar`` sets :attr:`iteration` before every body call; sanitize
-    mode forces scalar execution, so the bulk hooks never fire on this
-    broker."""
-
-    def __init__(self, server_ids: Set[int], validate: bool) -> None:
-        super().__init__(server_ids, validate)
-        self.records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
-        self.iteration: Any = None
-
-    def read(self, array: DistArray, index: Any) -> Any:
-        self.records.append(
-            (self.iteration, array.name, _normalize_index(index), "r")
-        )
-        return super().read(array, index)
-
-    def write(self, array: DistArray, index: Any, value: Any) -> None:
-        self.records.append(
-            (self.iteration, array.name, _normalize_index(index), "w")
-        )
-        super().write(array, index, value)
-
-    def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
-        self.records.append(
-            (self.iteration, buffer.target.name, _normalize_index(index), "b")
-        )
-        super().buffer_write(buffer, index, value)
 
 
 # --------------------------------------------------------------------- #
@@ -285,9 +194,6 @@ class OrionExecutor:
               unordered 2D (paper Fig. 8 uses 2).
             * ``balance`` — histogram-balanced partition bounds (vs. equal
               width).
-            * ``validate`` — record accesses and verify that same-step
-              blocks touch disjoint elements (serializability check; slow,
-              for tests).
             * ``prefetch`` — ``"auto"`` synthesizes and uses a
               bulk-prefetch function for server arrays, ``"none"`` models
               per-access round trips.
@@ -347,7 +253,6 @@ class OrionExecutor:
         self.requested_pipeline_depth = opts.pipeline_depth
         self.pipeline_depth = _resolve_pipeline_depth(opts.pipeline_depth)
         self.balance = opts.balance
-        self.validate = opts.validate
         self.prefetch_mode = opts.prefetch
         self.cache_prefetch = opts.cache_prefetch
         #: Synthesis outcome when ``kernel="auto"`` resolved the kernel
@@ -359,8 +264,12 @@ class OrionExecutor:
         #: Shadow-access records accumulated during a sanitized epoch
         #: (extended by tasks on this process and, for the multiprocess
         #: backend, from worker payloads), drained by `_sanitize_check`.
-        self._sanitize_records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
+        self._sanitize_records: List[AccessRecord] = []
         self._sanitize_values: Optional[Dict[Any, Any]] = None
+        #: Iteration key -> (step, worker) of the block that runs it, for
+        #: the sanitizer's same-step disjointness check (S605); rebuilt
+        #: lazily after a retune re-tiles the blocks.
+        self._sanitize_blocks: Optional[Dict[Any, Tuple[int, int]]] = None
         self.obs = opts.obs if opts.obs is not None else Observability.disabled()
         self.tracer = self.obs.tracer
         self.metrics = self.obs.metrics
@@ -709,9 +618,10 @@ class OrionExecutor:
         self.partitions = retiled
         self.steps = sched.unordered_2d_schedule(self.num_workers, num_time)
         self.num_time = num_time
-        #: Block keys changed shape — cached kernel index arrays and
-        #: dependence levels are stale.
+        #: Block keys changed shape — cached kernel index arrays,
+        #: dependence levels and the sanitizer's block map are stale.
         self._kernel_caches.clear()
+        self._sanitize_blocks = None
         rebin = self.cluster.cost.compute_time(len(self._entries))
         reshuffle = self.cluster.network.transfer_time(self._rotated_bytes)
         return rebin + reshuffle
@@ -836,7 +746,6 @@ class OrionExecutor:
         flush_bytes = np.zeros((self.num_workers, self.num_time))
         prefetch_bytes = np.zeros((self.num_workers, self.num_time))
         task_records: List[Tuple[sched.Task, _TaskStats]] = []
-        validation: Dict[int, List[Tuple[sched.Task, _TaskStats]]] = {}
         tracing = self.tracer.enabled
         #: block_key -> (prefetch, compute, flush, overhead) seconds, the
         #: phase breakdown behind each block span (only kept when tracing).
@@ -898,12 +807,7 @@ class OrionExecutor:
                         marshalling + message_cpu,
                     )
                 task_records.append((task, stats))
-                if self.validate:
-                    validation.setdefault(task.step, []).append((task, stats))
 
-        if self.validate:
-            self._check_serializability(validation)
-            self.metrics.counter("serializability_validations_total").inc()
         if self.sanitize:
             self._sanitize_check()
 
@@ -1202,13 +1106,12 @@ class OrionExecutor:
         ):
             self._equivalence_checked = True
             return self._run_task_checked(task, block_key, block)
-        if self.sanitize:
-            broker: _AccountingBroker = _SanitizingBroker(
-                self._server_ids, self.validate
-            )
-        else:
-            broker = _AccountingBroker(self._server_ids, self.validate)
-        with access.worker_scope(task.worker), access.install_broker(broker):
+        broker = _AccountingBroker(self._server_ids)
+        # Sanitize mode forces the scalar path, where the recorder logs
+        # each access with its iteration before the accounting sees it.
+        recorder = RecordingBroker(broker) if self.sanitize else None
+        with access.worker_scope(task.worker), \
+                access.install_broker(recorder or broker):
             if use_kernel:
                 kctx = KernelContext(
                     broker,
@@ -1217,9 +1120,9 @@ class OrionExecutor:
                 )
                 self.kernel(block, kctx)
             else:
-                self._run_scalar(block, task.worker, broker)
-        if self.sanitize:
-            self._sanitize_records.extend(broker.records)
+                self._run_scalar(block, task.worker, broker.stats, recorder)
+        if recorder is not None:
+            self._sanitize_records.extend(recorder.records)
         stats = broker.stats
         stats.entries = len(block)
         # Flush remaining buffered writes at the block boundary: a worker
@@ -1230,18 +1133,21 @@ class OrionExecutor:
         return stats
 
     def _run_scalar(
-        self, block: Any, worker: int, broker: _AccountingBroker
+        self,
+        block: Any,
+        worker: int,
+        stats: _TaskStats,
+        recorder: Optional[RecordingBroker],
     ) -> None:
         body = self.body
         buffers = list(self.info.buffers.values())
-        sanitizing = self.sanitize
         for key, value in block:
-            if sanitizing:
-                broker.iteration = key
+            if recorder is not None:
+                recorder.iteration = key
             body(key, value)
             for buffer in buffers:
                 if buffer.tick(worker):
-                    broker.stats.flush_bytes += buffer.pending_bytes(worker)
+                    stats.flush_bytes += buffer.pending_bytes(worker)
                     buffer.flush_worker(worker)
 
     # ---------------- kernel/scalar equivalence check ------------------- #
@@ -1386,10 +1292,6 @@ class OrionExecutor:
                 problems.append(
                     f"{field_name}: scalar={s_value} kernel={k_value}"
                 )
-        # Access records are order-insensitive for the serializability
-        # checker, so compare them as multisets.
-        if Counter(scalar.accesses) != Counter(kernel.accesses):
-            problems.append("validation access records differ")
         return problems
 
     # ---------------- timing + traffic --------------------------------- #
@@ -1529,63 +1431,6 @@ class OrionExecutor:
                          worker=task.worker)
         return events
 
-    # ---------------- serializability validation ----------------------- #
-
-    def _check_serializability(
-        self, by_step: Dict[int, List[Tuple[sched.Task, _TaskStats]]]
-    ) -> None:
-        """Verify blocks claimed concurrent touch disjoint elements.
-
-        Two same-step blocks conflict when they access an overlapping index
-        of the same non-server array and at least one access is a write.
-        Server-array accesses are exempt — they are the loop's explicitly
-        relaxed dependences (buffered writes / parameter-server reads).
-        """
-        server_names = set(self._server_arrays)
-        for step, records in by_step.items():
-            for left in range(len(records)):
-                task_a, stats_a = records[left]
-                for right in range(left + 1, len(records)):
-                    task_b, stats_b = records[right]
-                    self._check_pair(
-                        step, task_a, stats_a, task_b, stats_b, server_names
-                    )
-
-    @staticmethod
-    def _check_pair(step, task_a, stats_a, task_b, stats_b, server_names):
-        writes_a = [
-            (name, idx) for name, idx, w in stats_a.accesses
-            if w and name not in server_names
-        ]
-        writes_b = [
-            (name, idx) for name, idx, w in stats_b.accesses
-            if w and name not in server_names
-        ]
-        touched_b: Dict[str, List[Tuple[Any, ...]]] = {}
-        for name, idx, _w in stats_b.accesses:
-            if name not in server_names:
-                touched_b.setdefault(name, []).append(idx)
-        touched_a: Dict[str, List[Tuple[Any, ...]]] = {}
-        for name, idx, _w in stats_a.accesses:
-            if name not in server_names:
-                touched_a.setdefault(name, []).append(idx)
-        for name, idx in writes_a:
-            for other in touched_b.get(name, ()):  # write vs anything
-                if indices_overlap(idx, other):
-                    raise ExecutionError(
-                        f"serializability violation at step {step}: workers "
-                        f"{task_a.worker} and {task_b.worker} both touch "
-                        f"{name}{idx} (write involved)"
-                    )
-        for name, idx in writes_b:
-            for other in touched_a.get(name, ()):
-                if indices_overlap(idx, other):
-                    raise ExecutionError(
-                        f"serializability violation at step {step}: workers "
-                        f"{task_a.worker} and {task_b.worker} both touch "
-                        f"{name}{idx} (write involved)"
-                    )
-
     # ---------------- sanitize mode (shadow-access check) --------------- #
 
     def _sanitize_check(self) -> None:
@@ -1597,8 +1442,6 @@ class OrionExecutor:
         violation — a sanitized run that completes is a certificate that
         the analyzer's claims held for every executed iteration.
         """
-        from repro import sanitizer
-
         records, self._sanitize_records = self._sanitize_records, []
         server_names = frozenset(
             array.name for array in self._server_arrays.values()
@@ -1611,13 +1454,23 @@ class OrionExecutor:
                     self.info.iteration_space.entries()
                 )
             values = self._sanitize_values
-        diagnostics = sanitizer.check_epoch(
+        if self._sanitize_blocks is None:
+            self._sanitize_blocks = {
+                key: (task.step, task.worker)
+                for step_tasks in self.steps
+                for task in step_tasks
+                for key, _value in self.partitions.block(
+                    task.space_idx, task.time_idx or 0
+                )
+            }
+        diagnostics = check_epoch(
             self.info,
             self.plan,
             records,
             server_names=server_names,
             prefetch_fn=prefetch_fn,
             values=values,
+            blocks=self._sanitize_blocks,
         )
         self.metrics.counter("sanitize_epochs_total").inc()
         self.metrics.counter("sanitize_records_total").inc(len(records))
@@ -1625,4 +1478,4 @@ class OrionExecutor:
             self.metrics.counter("sanitize_violations_total").inc(
                 len(diagnostics)
             )
-            raise sanitizer.SanitizerError(diagnostics)
+            raise SanitizerError(diagnostics)

@@ -17,10 +17,11 @@ The contract a kernel must satisfy:
   in the scalar body's exact form, and split entries that touch the same
   parameter into conflict-free dependence levels run in order, see
   :func:`conflict_free_levels`.)
-* **Identical accounting**: declare every DistArray access the body would
+* **Identical accounting**: declare every DistArray read the body would
   have made through the :class:`KernelContext` ``account_*`` methods, so
-  traffic counters and the serializability validator see the same numbers
-  as the scalar path.
+  the server-traffic counters see the same numbers as the scalar path.
+  (Writes need no declaration: nothing counts them.  The race check is
+  sanitize mode, which forces the scalar path and records real accesses.)
 * **Determinism**: per block, the same ``account_*`` call sequence every
   epoch (the declarations are memoized across epochs).
 
@@ -30,7 +31,7 @@ execution (see ``OrionExecutor``); otherwise the scalar body runs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "PlainBroker",
     "conflict_free_groups_nd",
     "conflict_free_levels",
-    "normalize_index",
     "scalar_pow",
 ]
 
@@ -53,12 +53,11 @@ _FULL = slice(None)
 class _NullStats:
     """Accounting sink for brokers that only move data."""
 
-    __slots__ = ("server_reads", "server_read_bytes", "accesses")
+    __slots__ = ("server_reads", "server_read_bytes")
 
     def __init__(self) -> None:
         self.server_reads = 0
         self.server_read_bytes = 0
-        self.accesses: List[Tuple[str, Tuple[Any, ...], bool]] = []
 
 
 class PlainBroker(access.AccessBroker):
@@ -66,30 +65,15 @@ class PlainBroker(access.AccessBroker):
 
     The multiprocess backend executes kernels *inside* worker processes,
     where virtual-clock accounting is meaningless (the master owns the
-    timeline) and validation runs on the simulated oracle instead.  This
-    broker direct-passes every read/write to the arrays and swallows the
-    ``account_*`` declarations: no server byte counters, no access records,
+    timeline).  This broker direct-passes every read/write to the arrays
+    and swallows the ``account_*`` declarations (no server byte counters),
     so :class:`KernelContext` stays usable verbatim in workers.
     """
 
-    validate = False
     server_ids: frozenset = frozenset()
 
     def __init__(self) -> None:
         self.stats = _NullStats()
-
-
-def normalize_index(index: Any) -> Tuple[Any, ...]:
-    """Hashable normal form of a subscript, as the validator records it."""
-    if not isinstance(index, tuple):
-        index = (index,)
-    out: List[Any] = []
-    for item in index:
-        if isinstance(item, slice):
-            out.append(("range", item.start, item.stop))
-        else:
-            out.append(("pt", int(item)))
-    return tuple(out)
 
 
 def conflict_free_groups_nd(
@@ -194,12 +178,11 @@ class KernelContext:
     """Handed to an app kernel for one block execution.
 
     Provides bulk data movement (:meth:`bulk_read`, :meth:`bulk_write`,
-    :meth:`buffer_add`) and accounting-only declarations (``account_*``)
-    for kernels that read and write the dense backing arrays directly.
-    Accounting declarations reproduce exactly what the scalar body's
-    per-element broker traffic would have recorded — server read counts
-    and bytes, and (in validation mode) the normalized access records the
-    serializability checker consumes.
+    :meth:`buffer_add`) and accounting-only read declarations
+    (``account_*``) for kernels that read and write the dense backing
+    arrays directly.  The declarations reproduce exactly the server read
+    counts and bytes the scalar body's per-element broker traffic would
+    have recorded.
 
     Attributes:
         worker: the simulated worker executing the block.
@@ -235,83 +218,54 @@ class KernelContext:
 
     # ---------------- accounting-only declarations --------------------- #
     #
-    # Each call declares the accesses the scalar body would have made; the
-    # derived quantities (byte totals, normalized records) are memoized in
-    # the block cache under the call's sequence number, so epochs after the
-    # first pay one dict lookup per declaration.  A broker that neither
-    # counts server reads nor validates never builds them.
+    # Each call declares the reads the scalar body would have made; the
+    # derived byte totals are memoized in the block cache under the call's
+    # sequence number, so epochs after the first pay one dict lookup per
+    # declaration.  Reads of non-server arrays are never counted, so their
+    # per-entry indices are never built.
 
     def account_point_reads(self, array: DistArray, keys: Sequence[Any]) -> None:
         """Declare N point reads (``array[key]`` per key)."""
-        self._account(array, False, lambda: list(keys))
-
-    def account_point_writes(self, array: DistArray, keys: Sequence[Any]) -> None:
-        """Declare N point writes."""
-        self._account(array, True, lambda: list(keys))
+        self._account(array, lambda: list(keys))
 
     def account_col_reads(self, array: DistArray, cols: Sequence[int]) -> None:
         """Declare N whole-column reads (``array[:, c]`` per c)."""
-        self._account(array, False, lambda: [(_FULL, int(c)) for c in cols])
-
-    def account_col_writes(self, array: DistArray, cols: Sequence[int]) -> None:
-        """Declare N whole-column writes."""
-        self._account(array, True, lambda: [(_FULL, int(c)) for c in cols])
+        self._account(array, lambda: [(_FULL, int(c)) for c in cols])
 
     def account_row_reads(self, array: DistArray, rows: Sequence[int]) -> None:
         """Declare N whole-row reads (``array[r, :]`` per r)."""
-        self._account(array, False, lambda: [(int(r), _FULL) for r in rows])
-
-    def account_row_writes(self, array: DistArray, rows: Sequence[int]) -> None:
-        """Declare N whole-row writes."""
-        self._account(array, True, lambda: [(int(r), _FULL) for r in rows])
+        self._account(array, lambda: [(int(r), _FULL) for r in rows])
 
     def account_full_reads(self, array: DistArray, count: int) -> None:
         """Declare ``count`` full-array reads (``array[:]`` per entry)."""
-        self._account(array, False, lambda: [_FULL] * count)
+        self._account(array, lambda: [_FULL] * count)
 
     def account_reads(self, array: DistArray, indices: Sequence[Any]) -> None:
         """Declare N reads with raw subscripts (ints, tuples, slices) —
         the generic form synthesized kernels emit for arbitrary sites."""
-        self._account(array, False, lambda: list(indices))
-
-    def account_writes(self, array: DistArray, indices: Sequence[Any]) -> None:
-        """Declare N writes with raw subscripts."""
-        self._account(array, True, lambda: list(indices))
+        self._account(array, lambda: list(indices))
 
     # ---------------- internals ---------------------------------------- #
 
     def _account(
-        self,
-        array: DistArray,
-        write: bool,
-        build_indices: Callable[[], List[Any]],
+        self, array: DistArray, build_indices: Callable[[], List[Any]]
     ) -> None:
         broker = self.broker
-        tag = ("acct", self._seq, array.name, write)
+        tag = ("acct", self._seq, array.name)
         self._seq += 1
-        server = not write and id(array) in broker.server_ids
-        if not server and not broker.validate:
-            # Nothing is counted or recorded (always so on a worker's
+        if id(array) not in broker.server_ids:
+            # Only server reads are counted (none on a worker's
             # PlainBroker): skip building the per-entry indices.
             return
         cached = self.cache.get(tag)
         if cached is None:
             indices = build_indices()
-            count = len(indices)
-            nbytes = 0
-            if server:
-                nbytes = sum(index_nbytes(array, index) for index in indices)
-            records: Optional[List[Tuple[str, Tuple[Any, ...], bool]]] = None
-            if broker.validate:
-                name = array.name
-                records = [
-                    (name, normalize_index(index), write) for index in indices
-                ]
-            self.cache[tag] = cached = (count, nbytes, records)
-        count, nbytes, records = cached
+            cached = (
+                len(indices),
+                sum(index_nbytes(array, index) for index in indices),
+            )
+            self.cache[tag] = cached
+        count, nbytes = cached
         stats = broker.stats
-        if server:
-            stats.server_reads += count
-            stats.server_read_bytes += nbytes
-        if records is not None:
-            stats.accesses.extend(records)
+        stats.server_reads += count
+        stats.server_read_bytes += nbytes

@@ -40,9 +40,6 @@ class LoopOptions:
             The executor's ``run_summary()["resolved"]`` reports the
             value actually used, so ``"auto"`` stays introspectable.
         balance: histogram-balanced partitioning of skewed data.
-        validate: run the serializability validator every epoch
-            (simulated backend only; ``sanitize`` is the race check that
-            runs on both backends).
         prefetch: ``"auto"`` or ``"none"``.
         cache_prefetch: cache prefetch indices across epochs.
         backend: which runtime executes the compiled plan.
@@ -62,11 +59,12 @@ class LoopOptions:
         equivalence_check: run the first kernel-eligible block through
             both paths and fail on any difference.
         sanitize: run the shadow-access race detector
-            (:mod:`repro.sanitizer`): record every actual DistArray
-            element access per iteration and fail the epoch if the
-            analyzer's dependence claims, buffered-write exemptions or
-            prefetch footprint are contradicted.  Forces scalar
-            (non-kernel) execution.
+            (:mod:`repro.sanitizer`), the one race check, on either
+            backend: record every actual DistArray element access per
+            iteration and fail the epoch if the analyzer's dependence
+            claims, buffered-write exemptions, prefetch footprint or the
+            schedule's same-step disjointness are contradicted.  Forces
+            scalar (non-kernel) execution.
         obs: the loop's :class:`~repro.obs.observability.Observability`
             (tracer + metrics); ``None`` uses the context's.
         trace_process: Perfetto process label for this loop's spans.
@@ -113,7 +111,6 @@ class LoopOptions:
     force_dims: Optional[Tuple[int, ...]] = None
     pipeline_depth: Union[int, str] = 2
     balance: bool = True
-    validate: bool = False
     prefetch: str = "auto"
     cache_prefetch: bool = True
     backend: str = "simulated"

@@ -1,6 +1,6 @@
 """Shadow-access race detector: dynamically verify the analyzer's claims.
 
-The static parallelizer (Sec. 4 of the paper) makes four falsifiable
+The static parallelizer (Sec. 4 of the paper) makes five falsifiable
 claims about every loop it accepts:
 
 1. the reported dependence vectors are *complete* — every actual
@@ -12,13 +12,17 @@ claims about every loop it accepts:
 3. buffered writes — exempt from dependence analysis — never alias an
    element the loop also writes directly;
 4. the access footprint stays inside what the prefetch oracle predicts
-   for server-placed arrays.
+   for server-placed arrays;
+5. blocks the schedule runs in the same step on different workers touch
+   disjoint elements wherever one of them writes directly (Sec. 4.3–4.4:
+   the partitioning is what makes concurrent blocks independent).
 
 Sanitize mode (``LoopOptions.sanitize`` / CLI ``--sanitize``) records the
 actual DistArray elements each iteration reads and writes during
-interpreted execution and cross-checks all four claims at every epoch
-boundary, reporting violations as :class:`~repro.analysis.lint.Diagnostic`
-objects (codes ``S601``–``S604``) with the offending iteration pair.
+interpreted execution and cross-checks all five claims at every epoch
+boundary, on both backends, reporting violations as
+:class:`~repro.analysis.lint.Diagnostic` objects (codes ``S601``–``S605``)
+with the offending iteration pair.
 
 A record is the 4-tuple ``(iteration_key, storage_array_name,
 normalized_index, kind)`` with ``kind`` one of ``"r"`` (read), ``"w"``
@@ -51,6 +55,7 @@ __all__ = [
     "RecordingBroker",
     "SanitizerError",
     "check_epoch",
+    "normalize_index",
     "verify_conflict_groups",
 ]
 
@@ -71,43 +76,50 @@ class SanitizerError(ExecutionError):
 
 
 class RecordingBroker(access.AccessBroker):
-    """Pass-through broker that logs every element access per iteration.
+    """Broker that logs every element access per iteration, then passes
+    it on to ``inner`` (default: straight to the arrays' storage).
 
     The executor (or a forked worker) sets :attr:`iteration` to the
     current loop key before running the body; every read/write the body
-    performs while that key is current lands in :attr:`records`.
-    Delegation goes straight to the arrays' ``direct_*`` accessors, so
-    recording never changes what the loop computes.
+    performs while that key is current lands in :attr:`records`.  The
+    simulated executor wraps its accounting broker, so recording never
+    changes what the loop computes or what it is charged.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, inner: Optional[access.AccessBroker] = None) -> None:
         self.records: List[AccessRecord] = []
         self.iteration: Any = None
+        self.inner = inner if inner is not None else access.AccessBroker()
 
     def read(self, array: Any, index: Any) -> Any:
         self.records.append(
             (self.iteration, array.name, normalize_index(index), "r")
         )
-        return array.direct_get(index)
+        return self.inner.read(array, index)
 
     def write(self, array: Any, index: Any, value: Any) -> None:
         self.records.append(
             (self.iteration, array.name, normalize_index(index), "w")
         )
-        array.direct_set(index, value)
+        self.inner.write(array, index, value)
 
     def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
         self.records.append(
             (self.iteration, buffer.target.name, normalize_index(index), "b")
         )
-        buffer.direct_buffer_write(index, value)
+        self.inner.buffer_write(buffer, index, value)
 
 
 def normalize_index(index: Any) -> Tuple[Any, ...]:
-    """Canonical per-axis form: ``("pt", i)`` or ``("range", lo, hi)``."""
-    from repro.runtime.kernels import normalize_index as _normalize
-
-    return _normalize(index)
+    """Hashable normal form of a subscript, as records carry it: one
+    ``("pt", i)`` or ``("range", lo, hi)`` per axis."""
+    if not isinstance(index, tuple):
+        index = (index,)
+    return tuple(
+        ("range", item.start, item.stop) if isinstance(item, slice)
+        else ("pt", int(item))
+        for item in index
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -250,6 +262,7 @@ def check_epoch(
     server_names: FrozenSet[str] = frozenset(),
     prefetch_fn: Optional[Any] = None,
     values: Optional[Dict[Any, Any]] = None,
+    blocks: Optional[Dict[Any, Tuple[int, int]]] = None,
 ) -> List[Diagnostic]:
     """Cross-check one epoch of recorded accesses against the static plan.
 
@@ -257,14 +270,17 @@ def check_epoch(
         info: the loop's :class:`~repro.analysis.loop_info.LoopInfo`.
         plan: the chosen :class:`~repro.analysis.strategy.Plan`.
         records: every access recorded this epoch.
-        server_names: storage names of server-placed arrays.  Like the
-            serializability checker, cross-iteration conflicts on these
-            are exempt from S601: the parameter server linearizes them by
-            construction (the paper's Sec. 3.3 relaxation).
+        server_names: storage names of server-placed arrays.
+            Cross-iteration conflicts on these are exempt from S601 and
+            S605: the parameter server linearizes them by construction
+            (the paper's Sec. 3.3 relaxation).
         prefetch_fn: the synthesized prefetch oracle, when one exists;
             enables the S604 footprint check for server-array reads.
         values: iteration key -> value map for oracles that use the loop
             value (built lazily from the iteration space when omitted).
+        blocks: iteration key -> ``(step, worker)`` of the block the
+            schedule runs it in; enables the S605 check that same-step
+            blocks touch disjoint elements.
 
     Returns the violations found (empty list when the epoch is clean).
     """
@@ -274,12 +290,17 @@ def check_epoch(
 
     for array_name, forms in sorted(buckets.items()):
         if array_name not in server_names:
+            pairs = _overlapping_pairs(forms)
             diagnostics.extend(
                 _check_dependence_completeness(
-                    array_name, forms, reported.get(array_name, set()),
+                    array_name, pairs, reported.get(array_name, set()),
                     ordered=info.ordered,
                 )
             )
+            if blocks is not None:
+                diagnostics.extend(
+                    _check_concurrent_blocks(array_name, forms, pairs, blocks)
+                )
         diagnostics.extend(_check_buffer_aliasing(array_name, forms))
 
     if prefetch_fn is not None and server_names:
@@ -291,9 +312,23 @@ def check_epoch(
     return diagnostics
 
 
+def _overlapping_pairs(
+    forms: Dict[Tuple[Any, ...], Dict[str, Set[Any]]],
+) -> List[Tuple[Tuple[Any, Any], Tuple[Any, Any]]]:
+    """Every unordered pair of ``(form, kinds)`` items, each form paired
+    with itself too, whose forms can touch a common element."""
+    items = list(forms.items())
+    return [
+        (item, other)
+        for i, item in enumerate(items)
+        for other in items[i:]
+        if _forms_overlap(item[0], other[0])
+    ]
+
+
 def _check_dependence_completeness(
     array_name: str,
-    forms: Dict[Tuple[Any, ...], Dict[str, Set[Any]]],
+    pairs: List[Tuple[Tuple[Any, Any], Tuple[Any, Any]]],
     reported: Set[Any],
     ordered: bool,
 ) -> List[Diagnostic]:
@@ -305,49 +340,108 @@ def _check_dependence_completeness(
     here — S603 polices them separately."""
     diagnostics: List[Diagnostic] = []
     seen_deltas: Set[Tuple[int, ...]] = set()
-    form_list = list(forms.items())
-    for i, (form_a, kinds_a) in enumerate(form_list):
-        for form_b, kinds_b in form_list[i:]:
-            if not _forms_overlap(form_a, form_b):
+    kind_pairs = [("w", "r"), ("r", "w")]
+    if ordered:
+        kind_pairs.append(("w", "w"))
+    for (_form_a, kinds_a), (_form_b, kinds_b) in pairs:
+        for kind_a, kind_b in kind_pairs:
+            iters_a = kinds_a.get(kind_a, set())
+            iters_b = kinds_b.get(kind_b, set())
+            if not iters_a or not iters_b:
                 continue
-            pairs = [("w", "r"), ("r", "w")]
-            if ordered:
-                pairs.append(("w", "w"))
-            for kind_a, kind_b in pairs:
-                iters_a = kinds_a.get(kind_a, set())
-                iters_b = kinds_b.get(kind_b, set())
-                if not iters_a or not iters_b:
+            for delta, witness in _conflict_deltas(iters_a, iters_b).items():
+                if delta in seen_deltas:
                     continue
-                for delta, witness in _conflict_deltas(iters_a, iters_b).items():
-                    if delta in seen_deltas:
-                        continue
-                    seen_deltas.add(delta)
-                    if any(_vector_covers(v, delta) for v in reported):
-                        continue
-                    it_a, it_b = witness
-                    conflict = (
-                        "write/write" if kind_a == kind_b else "write/read"
+                seen_deltas.add(delta)
+                if any(_vector_covers(v, delta) for v in reported):
+                    continue
+                it_a, it_b = witness
+                conflict = (
+                    "write/write" if kind_a == kind_b else "write/read"
+                )
+                diagnostics.append(
+                    Diagnostic(
+                        code="S601",
+                        message=(
+                            f"iterations {it_a} and {it_b} have a "
+                            f"{conflict} conflict on array "
+                            f"{array_name!r} (distance {delta}) not "
+                            "covered by any reported dependence vector"
+                        ),
+                        details=(
+                            ("array", array_name),
+                            ("iterations", witness),
+                            ("delta", delta),
+                        ),
+                        hint="the static analyzer missed a loop-carried "
+                        "dependence; check for aliased arrays (W202) or "
+                        "data-dependent subscripts (W201)",
                     )
-                    diagnostics.append(
-                        Diagnostic(
-                            code="S601",
-                            message=(
-                                f"iterations {it_a} and {it_b} have a "
-                                f"{conflict} conflict on array "
-                                f"{array_name!r} (distance {delta}) not "
-                                "covered by any reported dependence vector"
-                            ),
-                            details=(
-                                ("array", array_name),
-                                ("iterations", witness),
-                                ("delta", delta),
-                            ),
-                            hint="the static analyzer missed a loop-carried "
-                            "dependence; check for aliased arrays (W202) or "
-                            "data-dependent subscripts (W201)",
-                        )
-                    )
+                )
     return diagnostics
+
+
+def _check_concurrent_blocks(
+    array_name: str,
+    forms: Dict[Tuple[Any, ...], Dict[str, Set[Any]]],
+    pairs: List[Tuple[Tuple[Any, Any], Tuple[Any, Any]]],
+    blocks: Dict[Any, Tuple[int, int]],
+) -> List[Diagnostic]:
+    """S605: blocks run in one step on different workers must not touch a
+    common element when either access is a direct write.  Buffered writes
+    (kind ``"b"``) are exempt: they merge at the block-boundary flush."""
+
+    def placed(iterations: Iterable[Any]) -> Dict[int, Dict[int, Any]]:
+        """step -> worker -> one witness iteration."""
+        out: Dict[int, Dict[int, Any]] = {}
+        for iteration in iterations:
+            slot = blocks.get(iteration)
+            if slot is not None:
+                out.setdefault(slot[0], {}).setdefault(slot[1], iteration)
+        return out
+
+    writes = {form: placed(kinds.get("w", ())) for form, kinds in forms.items()}
+    touches = {
+        form: placed(kinds.get("r", set()) | kinds.get("w", set()))
+        for form, kinds in forms.items()
+    }
+    for (form_a, _kinds_a), (form_b, _kinds_b) in pairs:
+        for form_w, form_t in ((form_a, form_b), (form_b, form_a)):
+            steps_w, steps_t = writes[form_w], touches[form_t]
+            witness = next(
+                (
+                    (step, worker_w, it_w, worker_t, it_t)
+                    for step in sorted(steps_w.keys() & steps_t.keys())
+                    for worker_w, it_w in steps_w[step].items()
+                    for worker_t, it_t in steps_t[step].items()
+                    if worker_w != worker_t
+                ),
+                None,
+            )
+            if witness is None:
+                continue
+            step, worker_w, it_w, worker_t, it_t = witness
+            return [  # one witness per array is enough
+                Diagnostic(
+                    code="S605",
+                    message=(
+                        f"iterations {it_w} and {it_t} run in step {step} on "
+                        f"workers {worker_w} and {worker_t} but both touch "
+                        f"{form_w} of array {array_name!r} (direct write "
+                        "involved)"
+                    ),
+                    details=(
+                        ("array", array_name),
+                        ("iterations", (it_w, it_t)),
+                        ("step", step),
+                        ("workers", (worker_w, worker_t)),
+                    ),
+                    hint="the schedule runs these blocks concurrently, but "
+                    "the plan's partitioning does not keep their elements "
+                    "apart",
+                )
+            ]
+    return []
 
 
 def _check_buffer_aliasing(

@@ -191,7 +191,8 @@ class TestParallelFor:
 
 class TestOneConfigPath:
     """``LoopOptions`` is the only way to configure a loop; the bare
-    kwarg tails, the merge fields and the threaded backend stay gone."""
+    kwarg tails, the merge fields, the threaded backend and the
+    validator stay gone."""
 
     def _space(self, ctx):
         space = ctx.from_entries(
@@ -208,6 +209,11 @@ class TestOneConfigPath:
     def test_loop_options_has_no_concurrency(self):
         with pytest.raises(TypeError):
             LoopOptions(concurrency="threads")
+
+    def test_loop_options_has_no_validate(self):
+        # The sanitizer's S605 is the one same-step race check.
+        with pytest.raises(TypeError):
+            LoopOptions(validate=True)
 
     def test_loop_options_has_no_tracer(self):
         from repro.obs import Tracer

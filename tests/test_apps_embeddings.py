@@ -81,7 +81,7 @@ class TestOrionProgram:
 
     def test_validation_clean(self, cooc, cluster):
         program = build_orion_program(
-            cooc, cluster=cluster, options=LoopOptions(validate=True),
+            cooc, cluster=cluster, options=LoopOptions(sanitize=True),
         )
         program.run(2)
 

@@ -85,7 +85,7 @@ class TestOrionProgram:
 
     def test_validation_clean(self, table_small, cluster_tiny):
         program = build_orion_program(
-            table_small, cluster=cluster_tiny, options=LoopOptions(validate=True),
+            table_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True),
         )
         program.run(2)
 

@@ -56,7 +56,7 @@ class TestOrionProgram:
             corpus_small,
             cluster=cluster_tiny,
             hyper=LDAHyper(num_topics=4),
-            options=LoopOptions(validate=True),
+            options=LoopOptions(sanitize=True),
         )
         program.run(2)
 

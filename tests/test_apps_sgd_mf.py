@@ -62,16 +62,16 @@ class TestOrionProgram:
 
     def test_validation_clean(self, mf_small, cluster_tiny):
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, options=LoopOptions(validate=True)
+            mf_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True)
         )
-        program.run(2)  # would raise on a serializability violation
+        program.run(2)  # raises SanitizerError on a race
 
     def test_validation_clean_ordered(self, mf_small, cluster_tiny):
         program = build_orion_program(
             mf_small, cluster=cluster_tiny, ordered=True,
-            options=LoopOptions(validate=True),
+            options=LoopOptions(sanitize=True),
         )
-        history = program.run(2)  # would raise on a violation
+        history = program.run(2)  # raises SanitizerError on a race
         assert len(history.records) == 2
 
     def test_adarev_variant_runs_and_wins_early(self, mf_small, cluster_tiny):

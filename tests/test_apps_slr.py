@@ -41,9 +41,9 @@ class TestOrionProgram:
         assert history.final_loss < history.meta["initial_loss"]
 
     def test_validation_clean(self, slr_small, cluster_tiny):
-        # Buffered writes are exempt from the serializability check.
+        # Buffered writes are exempt from the same-step check (S605).
         program = build_orion_program(
-            slr_small, cluster=cluster_tiny, options=LoopOptions(validate=True),
+            slr_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True),
         )
         program.run(2)
 

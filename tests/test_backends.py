@@ -170,8 +170,8 @@ class TestAppsOnMultiprocess:
         assert np.array_equal(oracle_h, real_h)
 
     def test_mf_sanitized_clean(self):
-        # validate=True is refused on this backend; sanitize=True is the
-        # race check that runs in the workers.
+        # The sanitizer records accesses in the workers and checks them,
+        # S605's same-step disjointness included, on the master.
         data = netflix_like(num_rows=48, num_cols=40, num_ratings=1200, seed=41)
         with build_sgd_mf(
             data,
@@ -222,15 +222,6 @@ class TestBackendSelection:
             checkpoint=CheckpointConfig(directory=str(tmp_path)),
         )
         with pytest.raises(ExecutionError, match="not supported"):
-            build_sgd_mf(data, cluster=_cluster(), seed=7, options=options)
-
-    def test_multiprocess_rejects_validate(self):
-        # Workers run a non-validating broker, so the serializability
-        # check would silently not run; the refusal names the race check
-        # that does run on both backends.
-        data = netflix_like(num_rows=12, num_cols=10, num_ratings=60, seed=3)
-        options = LoopOptions(backend="multiprocess", validate=True)
-        with pytest.raises(ExecutionError, match="sanitize=True"):
             build_sgd_mf(data, cluster=_cluster(), seed=7, options=options)
 
 

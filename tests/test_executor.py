@@ -1,16 +1,20 @@
 """Integration tests for the Orion executor (repro.runtime.executor)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.loop_info import analyze_loop_body
-from repro.analysis.strategy import Plan, Strategy, choose_plan
+from repro.analysis.strategy import Strategy, choose_plan
+from repro.api import OrionContext, ParallelLoop
 from repro.core.buffers import DistArrayBuffer
 from repro.core.distarray import DistArray
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.executor import OrionExecutor, indices_overlap
+from repro.runtime.executor import OrionExecutor
 from repro.runtime.options import LoopOptions
+from repro.sanitizer import SanitizerError, _forms_overlap
 
 
 def _cluster(machines=2, workers=2):
@@ -31,31 +35,36 @@ def _ratings(rows=12, cols=10, seed=0):
 
 
 class TestIndicesOverlap:
+    """The sanitizer's overlap geometry on normalized indices, which S601,
+    S603 and S605 all use."""
+
     def test_points(self):
-        assert indices_overlap((("pt", 1),), (("pt", 1),))
-        assert not indices_overlap((("pt", 1),), (("pt", 2),))
+        assert _forms_overlap((("pt", 1),), (("pt", 1),))
+        assert not _forms_overlap((("pt", 1),), (("pt", 2),))
 
     def test_point_in_range(self):
-        assert indices_overlap((("range", 0, 5),), (("pt", 3),))
-        assert not indices_overlap((("range", 0, 5),), (("pt", 5),))
+        assert _forms_overlap((("range", 0, 5),), (("pt", 3),))
+        assert not _forms_overlap((("range", 0, 5),), (("pt", 5),))
 
     def test_open_range_matches_all(self):
-        assert indices_overlap((("range", None, None),), (("pt", 99),))
+        assert _forms_overlap((("range", None, None),), (("pt", 99),))
 
     def test_ranges(self):
-        assert indices_overlap((("range", 0, 5),), (("range", 4, 9),))
-        assert not indices_overlap((("range", 0, 5),), (("range", 5, 9),))
+        assert _forms_overlap((("range", 0, 5),), (("range", 4, 9),))
+        assert not _forms_overlap((("range", 0, 5),), (("range", 5, 9),))
 
     def test_multi_axis_all_must_overlap(self):
         a = (("pt", 1), ("range", None, None))
         b = (("pt", 2), ("pt", 0))
-        assert not indices_overlap(a, b)
+        assert not _forms_overlap(a, b)
 
-    def test_arity_mismatch_disjoint(self):
-        assert not indices_overlap((("pt", 1),), (("pt", 1), ("pt", 2)))
+    def test_arity_mismatch_conservative(self):
+        # Differing arity cannot be decided from the forms alone, so the
+        # sanitizer assumes the worst.
+        assert _forms_overlap((("pt", 1),), (("pt", 1), ("pt", 2)))
 
 
-def _mf_executor(cluster, ordered=False, validate=True):
+def _mf_executor(cluster, ordered=False):
     ratings = _ratings()
     W = DistArray.randn(3, 12, name="W_e", seed=1, scale=0.1).materialize()
     H = DistArray.randn(3, 10, name="H_e", seed=2, scale=0.1).materialize()
@@ -71,7 +80,7 @@ def _mf_executor(cluster, ordered=False, validate=True):
     info = analyze_loop_body(body, ratings, ordered=ordered)
     plan = choose_plan(info)
     executor = OrionExecutor(
-        body, info, plan, cluster, options=LoopOptions(validate=validate)
+        body, info, plan, cluster, options=LoopOptions(sanitize=True)
     )
     return executor, (ratings, W, H)
 
@@ -133,11 +142,18 @@ class TestTwoDExecution:
 
 
 class TestSerializabilityValidation:
-    def test_bogus_plan_caught(self):
+    @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+    def test_bogus_plan_caught(self, backend):
         # Claim 1D over dim 0 while the body writes a column keyed by dim 1:
-        # same-step workers then write overlapping H columns.
-        ratings = _ratings()
-        H = DistArray.randn(3, 10, name="H_bogus", seed=3).materialize()
+        # same-step workers then write overlapping H columns.  The bogus
+        # plan keeps the honest dependence vectors, so S605 — the schedule
+        # check — is what must catch it, on either backend.
+        ctx = OrionContext(cluster=_cluster(), seed=1)
+        ratings = ctx.from_entries(
+            _ratings().entries(), name="ratings_bogus", shape=(12, 10)
+        )
+        H = ctx.randn(3, 10, name="H_bogus")
+        ctx.materialize(ratings, H)
 
         def body(key, value):
             H[:, key[1]] = H[:, key[1]] + value
@@ -146,17 +162,21 @@ class TestSerializabilityValidation:
         honest = choose_plan(info)
         assert honest.strategy is Strategy.ONE_D
         assert honest.space_dim == 1
-        bogus = Plan(
-            strategy=Strategy.ONE_D,
-            ordered=False,
-            space_dim=0,
-            placements=honest.placements,
-        )
+        bogus = replace(honest, space_dim=0)
         executor = OrionExecutor(
-            body, info, bogus, _cluster(), options=LoopOptions(validate=True),
+            body, info, bogus, ctx.cluster,
+            options=LoopOptions(sanitize=True, backend=backend),
         )
-        with pytest.raises(ExecutionError, match="serializability"):
-            executor.run_epoch()
+        loop = ParallelLoop(ctx, body, info, bogus, executor)
+        try:
+            with pytest.raises(SanitizerError) as excinfo:
+                loop.run()
+        finally:
+            loop.close()
+        (s605,) = excinfo.value.diagnostics
+        assert s605.code == "S605"
+        assert ("array", "H_bogus") in s605.details
+        assert ("step", 0) in s605.details
 
     def test_honest_plan_passes(self):
         ratings = _ratings()
@@ -168,7 +188,7 @@ class TestSerializabilityValidation:
         info = analyze_loop_body(body, ratings)
         plan = choose_plan(info)
         executor = OrionExecutor(
-            body, info, plan, _cluster(), options=LoopOptions(validate=True),
+            body, info, plan, _cluster(), options=LoopOptions(sanitize=True),
         )
         executor.run_epoch()
 

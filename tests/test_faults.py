@@ -11,7 +11,11 @@ Covers the fault-injection contract end to end:
 * the LoopOptions / Observability API consolidation.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +128,47 @@ class TestFaultPlan:
         forward = [plan.drop_count(4, key) for key in keys]
         backward = [plan.drop_count(4, key) for key in reversed(keys)]
         assert forward == backward[::-1]
+
+    def test_drops_independent_of_hash_seed(self):
+        # String parts of a message key must not go through the salted
+        # hash(): the same plan gives the same drops in every process.
+        script = (
+            "import json\n"
+            "from repro.apps import MFHyper, build_sgd_mf\n"
+            "from repro.data import netflix_like\n"
+            "from repro.faults import FaultPlan\n"
+            "from repro.obs import MetricsRegistry, Observability\n"
+            "from repro.runtime.cluster import ClusterSpec\n"
+            "from repro.runtime.options import LoopOptions\n"
+            "cluster = ClusterSpec(num_machines=2, workers_per_machine=2)\n"
+            "plan = FaultPlan.from_spec('seed=7,drops=0.02', epochs=3, "
+            "num_workers=cluster.num_workers)\n"
+            "metrics = MetricsRegistry()\n"
+            "data = netflix_like(num_rows=40, num_cols=32, num_ratings=600, "
+            "seed=1)\n"
+            "history = build_sgd_mf(data, cluster=cluster, "
+            "hyper=MFHyper(rank=2), seed=7, options=LoopOptions(faults=plan, "
+            "obs=Observability(metrics=metrics))).run(3)\n"
+            "print(json.dumps([metrics.counter('message_drops_total').value, "
+            "[(r.epoch_time_s, r.bytes_sent) for r in history.records]]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.path.abspath(src),
+                PYTHONHASHSEED=hash_seed,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        drops, _epochs = outputs[0]
+        assert drops > 0
+        assert outputs[0] == outputs[1]
 
     def test_stable_uniform_range(self):
         values = [stable_uniform(i, "x", 3) for i in range(200)]

@@ -1,12 +1,13 @@
-"""Generative end-to-end property test: random bodies → plans → validation.
+"""Generative end-to-end property test: random bodies → plans → sanitizer.
 
 For randomly generated (supported-grammar) loop bodies, the full pipeline —
 AST analysis, Alg. 2, strategy choice, partitioning, scheduling, execution
 — must either refuse to parallelize (ParallelizationError) or produce a
-schedule that passes the serializability validator.  A validator failure
-would mean the analyzer claimed independence between genuinely dependent
-blocks: the one unforgivable auto-parallelizer bug, probed here from the
-source-code level rather than the dependence-vector level.
+schedule that runs clean under the shadow-access sanitizer.  A sanitizer
+failure would mean the analyzer claimed independence between genuinely
+dependent iterations (S601) or blocks (S605): the one unforgivable
+auto-parallelizer bug, probed here from the source-code level rather than
+the dependence-vector level.
 """
 
 import itertools
@@ -111,10 +112,9 @@ class TestGeneratedBodies:
             info,
             plan,
             ClusterSpec(num_machines=2, workers_per_machine=2),
-            options=LoopOptions(validate=True),
+            options=LoopOptions(sanitize=True),
         )
-        # Raises ExecutionError("serializability violation ...") on any
-        # missed dependence.
+        # Raises SanitizerError on any missed dependence.
         executor.run_epoch()
 
     @settings(max_examples=20, deadline=None)

@@ -72,7 +72,6 @@ class TestSGDMFKernel:
                 ordered=ordered,
                 seed=7,
                 use_kernel=use_kernel,
-                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -91,7 +90,7 @@ class TestSLRKernel:
                 hyper=SLRHyper(step_size=0.2),
                 seed=3,
                 use_kernel=use_kernel,
-                options=LoopOptions(prefetch=prefetch, validate=True),
+                options=LoopOptions(prefetch=prefetch),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -107,7 +106,6 @@ class TestSLRKernel:
                 hyper=SLRHyper(adarev=True),
                 seed=3,
                 use_kernel=use_kernel,
-                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build)
@@ -127,7 +125,6 @@ class TestLDAKernel:
                 parallelism=parallelism,
                 seed=5,
                 use_kernel=use_kernel,
-                options=LoopOptions(validate=True),
             )
 
         kp, sp, kr, sr = _run_pair(build, epochs=2)
@@ -145,14 +142,14 @@ class TestEquivalenceCheckMode:
     def test_mf_passes(self, mf_data):
         prog = build_mf(
             mf_data, seed=7, use_kernel=True,
-            options=LoopOptions(validate=True, equivalence_check=True),
+            options=LoopOptions(equivalence_check=True),
         )
         prog.epoch_fn()  # would raise ExecutionError on any divergence
 
     def test_slr_passes(self, slr_data):
         prog = build_slr(
             slr_data, seed=3, use_kernel=True,
-            options=LoopOptions(validate=True, equivalence_check=True),
+            options=LoopOptions(equivalence_check=True),
         )
         prog.epoch_fn()
 

@@ -60,7 +60,7 @@ class TestDiagnosticType:
         assert {
             "E100", "E101", "E102", "E103", "E110",
             "W201", "W202", "W301", "W401",
-            "S601", "S602", "S603", "S604",
+            "S601", "S602", "S603", "S604", "S605",
         } <= set(CODES)
 
 

@@ -225,6 +225,79 @@ class TestCheckEpochUnits:
         assert check_epoch(info, plan, records) == []
 
 
+class TestConcurrentBlocks:
+    """S605: blocks one step runs on different workers touch disjoint
+    elements wherever either access is a direct write."""
+
+    #: Iterations (0,) and (1,) in step 0 on workers 0 and 1.
+    SPLIT = {(0,): (0, 0), (1,): (0, 1)}
+
+    def _codes(self, records, blocks, **kwargs):
+        info, plan = _fake_loop()
+        return [
+            d.code for d in check_epoch(
+                info, plan, records, blocks=blocks, **kwargs
+            )
+        ]
+
+    def test_s605_write_write_across_workers(self):
+        # Unordered write/write pairs are exempt from S601, not from S605:
+        # running them concurrently is a race either way.
+        records = [
+            ((0,), "X", normalize_index(2), "w"),
+            ((1,), "X", normalize_index((slice(None),)), "w"),
+        ]
+        info, plan = _fake_loop()
+        diagnostics = check_epoch(info, plan, records, blocks=self.SPLIT)
+        assert [d.code for d in diagnostics] == ["S605"]
+        assert ("workers", (0, 1)) in diagnostics[0].details
+        assert ("step", 0) in diagnostics[0].details
+
+    def test_s605_write_read_with_reported_vector(self):
+        # The dependence is reported, so only the schedule is wrong.
+        from repro.analysis.depvec import DepVector
+
+        info, plan = _fake_loop(
+            arrays={"x": SimpleNamespace(name="X")},
+            dvecs={"x": {DepVector(entries=(1,))}},
+        )
+        records = [
+            ((0,), "X", normalize_index(2), "w"),
+            ((1,), "X", normalize_index(2), "r"),
+        ]
+        assert check_epoch(info, plan, records) == []
+        assert [
+            d.code for d in check_epoch(info, plan, records, blocks=self.SPLIT)
+        ] == ["S605"]
+
+    def test_same_worker_or_other_step_passes(self):
+        records = [
+            ((0,), "X", normalize_index(2), "w"),
+            ((1,), "X", normalize_index(2), "w"),
+        ]
+        assert self._codes(records, {(0,): (0, 0), (1,): (0, 0)}) == []
+        assert self._codes(records, {(0,): (0, 0), (1,): (1, 1)}) == []
+
+    def test_reads_buffered_writes_and_server_arrays_exempt(self):
+        reads = [
+            ((0,), "X", normalize_index(2), "r"),
+            ((1,), "X", normalize_index(2), "r"),
+        ]
+        buffered = [
+            ((0,), "X", normalize_index(2), "b"),
+            ((1,), "X", normalize_index(2), "r"),
+        ]
+        server = [
+            ((0,), "S", normalize_index(2), "w"),
+            ((1,), "S", normalize_index(2), "w"),
+        ]
+        assert self._codes(reads, self.SPLIT) == []
+        assert self._codes(buffered, self.SPLIT) == []
+        assert self._codes(
+            server, self.SPLIT, server_names=frozenset({"S"})
+        ) == []
+
+
 class TestSanitizedAppsRunClean:
     def test_mf_sanitized_epoch_clean(self, mf_small, cluster_tiny):
         from repro.apps.sgd_mf import build_orion_program

@@ -216,7 +216,7 @@ class TestAutoMatchesScalar:
     @pytest.mark.parametrize("app", ["mf", "slr"])
     @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
     def test_sanitized_run_clean(self, app, backend):
-        """Sanitized runs (S601-S604) stay clean with kernel='auto'."""
+        """Sanitized runs (S601-S605) stay clean with kernel='auto'."""
         program = APPS[app](
             _cluster(), "auto", LoopOptions(sanitize=True, backend=backend)
         )
